@@ -205,38 +205,38 @@ std::size_t UdpTransport::drain() {
     }
     ++udp_stats_.recv_datagrams;
     udp_stats_.recv_bytes += size - kUdpHeaderBytes;
-    // Copy out of the reused receive buffer: dispatch() reuses
-    // frame_scratch_, and handlers may send (reusing wire_writer_), so the
-    // datagram must own its bytes.
-    const Bytes datagram(recv_buf_.begin(),
-                         recv_buf_.begin() + static_cast<std::ptrdiff_t>(size));
     const std::size_t before = stats_.delivered;
-    dispatch(datagram);
+    dispatch(size);
     dispatched += stats_.delivered - before;
   }
   return dispatched;
 }
 
-void UdpTransport::dispatch(const Bytes& datagram) {
+void UdpTransport::dispatch(std::size_t size) {
   if (!handler_) return;
   std::uint32_t sender = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     sender |= static_cast<std::uint32_t>(
-                  std::to_integer<std::uint8_t>(datagram[1 + i]))
+                  std::to_integer<std::uint8_t>(recv_buf_[1 + i]))
               << (8 * i);
   }
   const ProcessId from{sender};
-  const Bytes payload(datagram.begin() + kUdpHeaderBytes, datagram.end());
+  // Handlers see a Bytes, so the payload (header off) is copied once into
+  // a reused buffer — it keeps its capacity, so after warm-up receiving
+  // allocates nothing. Handlers may send (reusing wire_writer_), which
+  // never touches either receive buffer.
+  payload_buf_.assign(recv_buf_.begin() + kUdpHeaderBytes,
+                      recv_buf_.begin() + static_cast<std::ptrdiff_t>(size));
   // Same delivery rule as the simulator: raw frames go straight up, BATCH
   // envelopes are salvage-decoded so a damaged tail costs exactly one
   // decode error above.
-  if (!looks_like_batch(payload)) {
+  if (!looks_like_batch(payload_buf_)) {
     ++stats_.delivered;
-    handler_(from, payload);
+    handler_(from, payload_buf_);
     return;
   }
   const bool clean = visit_batch_frames(
-      payload, [this, from](const std::byte* p, std::size_t len) {
+      payload_buf_, [this, from](const std::byte* p, std::size_t len) {
         frame_scratch_.assign(p, p + len);
         ++stats_.delivered;
         handler_(from, frame_scratch_);

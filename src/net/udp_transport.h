@@ -168,7 +168,8 @@ class UdpTransport : public Transport {
   /// Encodes header + envelope and sendto()s one datagram to `to`.
   void transmit(ProcessId to, const std::vector<Bytes>& frames,
                 std::size_t frame_bytes);
-  void dispatch(const Bytes& datagram);
+  /// Dispatches the `size`-byte datagram sitting in recv_buf_.
+  void dispatch(std::size_t size);
 
   UdpConfig config_;
   ProcessSet processes_;
@@ -185,7 +186,8 @@ class UdpTransport : public Transport {
   NetStats stats_;
   UdpStats udp_stats_;
   Writer wire_writer_;   // reused datagram encoder
-  Bytes recv_buf_;       // reused receive buffer
+  Bytes recv_buf_;       // reused receive buffer (header included)
+  Bytes payload_buf_;    // reused copy of the received payload
   Bytes frame_scratch_;  // reused per-frame dispatch buffer
 };
 

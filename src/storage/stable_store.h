@@ -11,13 +11,15 @@
 //     sweeps stay byte-identical across --jobs because nothing here touches
 //     the host OS.
 //   * FileStableStore (file_store.h) — a directory of real files, for
-//     benches and manual experiments.
+//     dvsd, benches and manual experiments.
 //
 // Keys are flat strings (by convention "p<process>/<layer>", e.g. "p2/dvs").
 // Each key holds one append-only byte log; `replace` rewrites a key
 // wholesale (snapshot compaction). Durability granularity is the append:
-// every append/replace is a persistence barrier — after it returns, a crash
-// loses nothing of that write. The crash-point sweep (tests/sys/
+// every append/replace is a persistence barrier — after it returns, a
+// process crash loses nothing of that write. For FileStableStore the
+// barrier is the write(2) into the page cache: it survives SIGKILL, not a
+// power loss (nothing is fsynced). The crash-point sweep (tests/sys/
 // test_crash_points.cpp) enumerates exactly these barriers via the
 // barrier hook.
 #pragma once
@@ -52,7 +54,8 @@ class StableStore {
   virtual ~StableStore() = default;
 
   /// Appends `data` to the log at `key` (creating it if absent). A
-  /// persistence barrier: returns only after the bytes are durable.
+  /// persistence barrier: returns only after the bytes survive a process
+  /// crash.
   void append(const std::string& key, const Bytes& data);
 
   /// Replaces the entire contents of `key` with `data` (snapshot
@@ -61,6 +64,12 @@ class StableStore {
 
   /// Full current contents of `key`; nullopt if the key was never written.
   [[nodiscard]] std::optional<Bytes> load(const std::string& key) const;
+
+  /// Declares `key` a journal that will be appended to for the store's
+  /// lifetime (storage::Wal calls it on construction). A file-backed store
+  /// opens the key's descriptor here and keeps it; not a barrier, and a
+  /// no-op in MemStableStore.
+  void hold(const std::string& key) { do_hold(key); }
 
   [[nodiscard]] const StorageStats& stats() const { return stats_; }
 
@@ -76,6 +85,7 @@ class StableStore {
   virtual void do_replace(const std::string& key, const Bytes& data) = 0;
   [[nodiscard]] virtual std::optional<Bytes> do_load(
       const std::string& key) const = 0;
+  virtual void do_hold(const std::string& /*key*/) {}
 
  private:
   mutable StorageStats stats_;

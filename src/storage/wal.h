@@ -41,7 +41,12 @@ inline constexpr std::uint8_t kWalMagic = 0xD5;
 /// Appender for one log (one StableStore key).
 class Wal {
  public:
-  Wal(StableStore& store, std::string key) : store_(store), key_(std::move(key)) {}
+  /// Holds the key open in `store` for the store's lifetime (see
+  /// StableStore::hold).
+  Wal(StableStore& store, std::string key)
+      : store_(store), key_(std::move(key)) {
+    store_.hold(key_);
+  }
 
   /// Appends one record whose payload is produced by `encode`.
   void append(std::uint8_t type, const std::function<void(Writer&)>& encode);

@@ -417,6 +417,10 @@ void VsNode::install(const View& v) {
   if (callbacks_.on_newview) callbacks_.on_newview(v);
 }
 
+void VsNode::handle(const Watermark& wm, ProcessId from) {
+  apply_watermarks(from, wm.view, wm.delivered, wm.safe);
+}
+
 void VsNode::apply_watermarks(ProcessId from, const ViewId& view,
                               std::uint64_t delivered, std::uint64_t safe) {
   if (config_.stability != StabilityMode::kWatermark) return;
@@ -571,7 +575,22 @@ void VsNode::try_deliver() {
     }
     delivered_any = true;
   }
-  if (delivered_any) try_emit_safe();
+  if (!delivered_any) return;
+  try_emit_safe();
+  if (config_.stability == StabilityMode::kWatermark) push_watermarks();
+}
+
+void VsNode::push_watermarks() {
+  // Encoded once into the reused scratch writer; the transport copies it
+  // per destination (and a batching transport coalesces it with the other
+  // frames bound for the same peer).
+  const Bytes& payload =
+      encode_reused(WireMsg{Watermark{view_->id(), delivered_, safe_emitted_}});
+  for (ProcessId q : view_members_) {
+    if (q == self_) continue;
+    net_.send(self_, q, payload);
+    ++stats_.watermark_pushes;
+  }
 }
 
 std::size_t VsNode::bind_metrics(obs::MetricsRegistry& metrics) {
@@ -596,6 +615,8 @@ std::size_t VsNode::bind_metrics(obs::MetricsRegistry& metrics) {
         .set(stats_.retransmits_skipped);
     metrics.counter("vs.watermark_updates" + label)
         .set(stats_.watermark_updates);
+    metrics.counter("vs.watermark_pushes" + label)
+        .set(stats_.watermark_pushes);
     metrics.counter("vs.watermark_gc" + label).set(stats_.watermark_gc);
     metrics.counter("vs.watermark_min_delivered" + label)
         .set(wm_.min_delivered());

@@ -18,12 +18,16 @@
 //  * Safe — each member publishes its contiguously-delivered count and its
 //    safe watermark for the current view in a per-member watermark table
 //    (SST style); a message is safe at q once the table's delivered
-//    minimum reaches it. Rows are raised from heartbeats in both stability
-//    modes; in kWatermark mode (the default) DATA/SEQ frames additionally
-//    piggyback the sender's watermarks, so stability advances at data rate
-//    instead of heartbeat rate. Reconfiguration (the PROPOSE/FLUSH_ACK/
-//    INSTALL agreement) always uses explicit acks — the watermark table is
-//    a within-view optimization only and is reset on install.
+//    minimum reaches it. In kExplicitAck mode rows are raised by heartbeats
+//    only. In kWatermark mode (the default) a member pushes a WATERMARK
+//    frame to every other member whenever its delivered count rises, and
+//    DATA/SEQ frames piggyback the sender's watermarks too, so stability
+//    follows deliveries within a link delay instead of waiting for the
+//    next heartbeat; heartbeats still carry the rows, but only liveness
+//    depends on them. A received push is applied, never answered.
+//    Reconfiguration (the PROPOSE/FLUSH_ACK/INSTALL agreement) always uses
+//    explicit acks — the watermark table is a within-view optimization
+//    only and is reset on install.
 //
 // Safety matches the VS specification (Figure 1): view ids are unique with
 // consistent memberships, installs are monotone per process, messages are
@@ -89,9 +93,13 @@ enum class StabilityMode {
   /// Watermarks travel on heartbeats only (the pre-watermark behavior —
   /// kept as the differential baseline; see test_watermark_equivalence).
   kExplicitAck,
-  /// Heartbeats plus watermark piggybacks on every DATA/SEQ frame: the
-  /// per-member table advances at data rate, cutting safe latency and
-  /// letting retransmission cursors see peer progress sooner.
+  /// Watermarks are pushed on change: every rise of a member's delivered
+  /// count sends one WATERMARK frame to each other member, and DATA/SEQ
+  /// frames piggyback the sender's watermarks. The per-member table
+  /// advances at delivery rate, so safe latency is a few link delays
+  /// rather than a heartbeat period, and retransmission cursors see peer
+  /// progress sooner. Heartbeats remain for failure detection and repair
+  /// a row whose push was lost.
   kWatermark,
 };
 
@@ -141,9 +149,13 @@ struct VsNodeStats {
   /// holdoff — the per-destination cursor win shows as skipped >> sent.
   std::uint64_t retransmits_sent = 0;
   std::uint64_t retransmits_skipped = 0;
-  /// Watermark-table rows raised by DATA/SEQ piggybacks (kWatermark mode
-  /// only; heartbeat-driven raises are the baseline and are not counted).
+  /// Watermark-table rows raised by WATERMARK pushes and DATA/SEQ
+  /// piggybacks (kWatermark mode only; heartbeat-driven raises are the
+  /// baseline and are not counted).
   std::uint64_t watermark_updates = 0;
+  /// WATERMARK frames sent (kWatermark mode only): one per other member
+  /// each time try_deliver raises the delivered count.
+  std::uint64_t watermark_pushes = 0;
   /// Issued-SEQ log entries garbage-collected once the table's delivered
   /// minimum covered them (no member can need a retransmission below it).
   std::uint64_t watermark_gc = 0;
@@ -212,13 +224,14 @@ class VsNode {
   void handle(const Data& da, ProcessId from);
   void handle(const Seq& sq, ProcessId from);
   void handle(const Token& tk, ProcessId from);
+  void handle(const Watermark& wm, ProcessId from);
 
   void maybe_propose();
   void install(const View& v);
   /// Rebuilds the watermark table's member rows for the current view.
   void reset_watermarks();
-  /// Applies a piggybacked (delivered, safe) pair published by `from` for
-  /// `view` (kWatermark mode; no-op otherwise or across views).
+  /// Applies a pushed or piggybacked (delivered, safe) pair published by
+  /// `from` for `view` (kWatermark mode; no-op otherwise or across views).
   void apply_watermarks(ProcessId from, const ViewId& view,
                         std::uint64_t delivered, std::uint64_t safe);
   /// Token mode: issue up to the backlog cap and forward the token.
@@ -235,6 +248,10 @@ class VsNode {
                                         std::uint64_t processed_watermark,
                                         bool buffered = false);
   void try_deliver();
+  /// kWatermark mode: sends this node's (delivered, safe) pair to every
+  /// other member of the current view. Called only from try_deliver, so a
+  /// received push can never trigger one.
+  void push_watermarks();
   void try_emit_safe();
   /// Index of `q` in the flat per-process arrays (ids are dense).
   [[nodiscard]] std::size_t ix(ProcessId q) const {

@@ -7,6 +7,8 @@
 //   INSTALL    — coordinator finalizes the view
 //   DATA       — member sends a client payload to the view's sequencer
 //   SEQ        — sequencer broadcasts the payload with its order number
+//   TOKEN      — token-ring mode's rotating ordering permission
+//   WATERMARK  — a member's delivered/safe counters, pushed on change
 #pragma once
 
 #include <cstdint>
@@ -101,8 +103,20 @@ struct Token {
   friend bool operator==(const Token&, const Token&) = default;
 };
 
-using WireMsg =
-    std::variant<Heartbeat, Propose, FlushAck, Install, Data, Seq, Token>;
+/// Stability mode kWatermark: a member's delivered and safe counters in
+/// `view`, pushed to the other members whenever its delivered count rises —
+/// a subset of what a Heartbeat carries, so stability no longer waits for
+/// the next heartbeat when no DATA/SEQ frame happens to travel that way.
+struct Watermark {
+  ViewId view;
+  std::uint64_t delivered = 0;
+  std::uint64_t safe = 0;
+
+  friend bool operator==(const Watermark&, const Watermark&) = default;
+};
+
+using WireMsg = std::variant<Heartbeat, Propose, FlushAck, Install, Data, Seq,
+                             Token, Watermark>;
 
 [[nodiscard]] Bytes encode(const WireMsg& m);
 /// Appends the encoding to `w` without allocating a fresh buffer — the
@@ -118,7 +132,7 @@ void encode_into(const WireMsg& m, Writer& w);
 //
 //   frame := kGroupFrameTag u8 | varuint group_id | payload bytes
 //
-// The tag byte sits outside both the vsys Tag range (1..7) and the BATCH
+// The tag byte sits outside both the vsys Tag range (1..8) and the BATCH
 // envelope tag (net/batcher.h), so a receiver can always tell a group frame
 // from legacy ungrouped traffic and from a coalesced envelope. group_id 0
 // is reserved for the pool-level membership group. The simulated transport

@@ -1,7 +1,8 @@
 // Byte-order regression suite: golden wire bytes.
 //
 // Everything the stack persists or transmits — Writer integers, WAL
-// records (including their CRC), BATCH envelopes, the 128-bit state hash —
+// records (including their CRC), BATCH envelopes, the vsys WATERMARK frame,
+// the 128-bit state hash —
 // must produce IDENTICAL bytes on every host, because real deployments mix
 // machines (a trace written on one box is audited on another, a WAL may be
 // inspected cross-host) and the exhaustive checker's state hashes are
@@ -19,6 +20,7 @@
 #include "net/batcher.h"
 #include "parallel/state_hash.h"
 #include "storage/wal.h"
+#include "vsys/wire.h"
 
 namespace dvs {
 namespace {
@@ -107,6 +109,21 @@ TEST(ByteOrder, BatchEnvelopeGoldenBytes) {
       bytes_of({0xb5, 0x02, 0x02, 0x01, 0x02, 0x01, 0x03});
   EXPECT_EQ(envelope, expected);
   EXPECT_EQ(net::decode_batch(envelope), frames);
+}
+
+TEST(ByteOrder, WatermarkFrameGoldenBytes) {
+  const vsys::WireMsg m =
+      vsys::Watermark{ViewId{3, ProcessId{1}}, 300, 5};
+  // tag 8 | view epoch u64 LE | view origin u32 LE | varuint delivered |
+  // varuint safe
+  const Bytes expected = bytes_of({0x08,                                     //
+                                   0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                                   0x00,                                     //
+                                   0x01, 0x00, 0x00, 0x00,                   //
+                                   0xac, 0x02,                               //
+                                   0x05});
+  EXPECT_EQ(vsys::encode(m), expected);
+  EXPECT_EQ(vsys::decode(expected), m);
 }
 
 TEST(ByteOrder, Hash128KnownAnswers) {

@@ -6,6 +6,9 @@
 // budget is exhausted, and that the arena path is behaviour-invariant
 // against the plain-heap path.
 //
+// The real receive path is held to the same line: once warm, draining raw
+// and BATCH datagrams from a loopback UdpTransport allocates nothing.
+//
 // This file must be its own test binary: it replaces the global
 // operator new/delete.
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "net/sim_network.h"
+#include "net/udp_transport.h"
 #include "vsys/vs_node.h"
 
 // Sanitizer builds wrap the allocator and may allocate internally; the
@@ -219,6 +223,64 @@ TEST(AllocFreeTest, ArenaPathIsBehaviourInvariant) {
   b.settle(500);
   EXPECT_EQ(a.delivered_, b.delivered_);
   EXPECT_EQ(a.safes_, b.safes_);
+}
+
+TEST(AllocFreeTest, UdpDrainOfRawAndBatchDatagramsAllocatesNothing) {
+  const char* no_net = std::getenv("DVS_NO_NET");
+  if (no_net != nullptr && no_net[0] == '1') {
+    GTEST_SKIP() << "DVS_NO_NET=1: skipping loopback UDP";
+  }
+  const ProcessSet universe = make_universe(2);
+  net::UdpConfig rc;
+  rc.self = ProcessId{0};
+  net::UdpConfig sc;
+  sc.self = ProcessId{1};
+  net::UdpTransport receiver(rc, universe);
+  net::UdpTransport sender(sc, universe);
+  sender.set_peer(ProcessId{0}, {"127.0.0.1", receiver.local_port()});
+  std::uint64_t frames = 0;
+  std::uint64_t bytes = 0;
+  receiver.attach(ProcessId{0}, [&](ProcessId, const Bytes& payload) {
+    ++frames;
+    bytes += payload.size();
+  });
+
+  // One round = a single-frame flush (travels raw) and a three-frame flush
+  // (one BATCH envelope); 4 frames in 2 datagrams.
+  const Bytes small(24, std::byte{0x11});
+  const Bytes big(400, std::byte{0x22});
+  const auto send_round = [&] {
+    sender.send(ProcessId{1}, ProcessId{0}, big);
+    sender.flush();
+    for (int i = 0; i < 3; ++i) sender.send(ProcessId{1}, ProcessId{0}, small);
+    sender.flush();
+  };
+  // Drains until `want` frames arrived (loopback delivery is prompt; the
+  // deadline only guards a broken socket).
+  const auto receive = [&](std::uint64_t want) {
+    for (int spins = 0; frames < want && spins < 2000; ++spins) {
+      receiver.pump(1000);
+    }
+  };
+
+  for (int i = 0; i < 20; ++i) send_round();
+  receive(80);
+  ASSERT_EQ(frames, 80u);
+
+  for (int i = 0; i < 50; ++i) send_round();
+  const std::uint64_t allocs_before = alloc_count();
+  receive(80 + 200);
+  const std::uint64_t window_allocs = alloc_count() - allocs_before;
+  ASSERT_EQ(frames, 280u);
+  EXPECT_EQ(bytes, 70u * (400 + 3 * 24));
+  EXPECT_EQ(receiver.stats().batches, 0u);  // the receiver never sent
+  EXPECT_EQ(sender.stats().batches, 70u);
+  if (DVS_SANITIZED) {
+    EXPECT_LT(window_allocs, 100u);
+  } else {
+    EXPECT_EQ(window_allocs, 0u)
+        << window_allocs << " allocations draining 100 datagrams";
+  }
 }
 
 }  // namespace

@@ -86,7 +86,7 @@ TEST(GroupFrame, RoundTrips) {
 }
 
 TEST(GroupFrame, TagDoesNotCollideWithVsTraffic) {
-  // Every vsys message starts with its Tag byte (1..7) and batches with the
+  // Every vsys message starts with its Tag byte (1..8) and batches with the
   // batcher's tag; 0x47 must stay distinct so untagged traffic routes to
   // the default handler.
   const Bytes untagged = bytes({0x01, 0x02, 0x03});

@@ -9,7 +9,8 @@
 //   * golden frame bytes pinned to hex (the on-disk format is an interface);
 //   * frame/read_wal round trips, store-level corrupt-tail recovery;
 //   * bit-flip-every-bit and truncate-at-every-byte prefix properties;
-//   * MemStableStore / FileStableStore basics (stats, barriers, reopen);
+//   * MemStableStore / FileStableStore basics (stats, barriers, reopen),
+//     the file store's injective key mapping and its held descriptors;
 //   * layer journals produced by a real persistent cluster run: recover()
 //     equals the live automaton's durable_state(), and recover() of the
 //     duplicated log (whole-log doubling and per-record doubling) equals
@@ -271,6 +272,93 @@ TEST(StableStoreTest, FileStoreRoundTripAndReopen) {
     store.wipe();
     EXPECT_EQ(store.load("p0/dvs"), std::nullopt);
   }
+  std::filesystem::remove_all(root);
+}
+
+std::string fresh_root(const char* name) {
+  const std::string root =
+      (std::filesystem::path(::testing::TempDir()) / name).string();
+  std::filesystem::remove_all(root);
+  return root;
+}
+
+std::size_t open_descriptors() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(StableStoreTest, FileStoreKeysNeverAlias) {
+  const std::string root = fresh_root("dvs_wal_fuzz_alias");
+  {
+    FileStableStore store(root);
+    // '/' flattens to '_', so a literal '_' (and the '%' escape char) must
+    // be escaped or "a/b" and "a_b" would share one file.
+    const std::vector<std::string> keys = {"a/b", "a_b", "a%5Fb", "a%b",
+                                           "a\\b", "a//b", "a__b"};
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      store.append(keys[i], Bytes(i + 1, static_cast<std::byte>(i)));
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(store.load(keys[i]), Bytes(i + 1, static_cast<std::byte>(i)))
+          << keys[i];
+    }
+  }
+  {
+    // And the bytes are where a fresh instance looks for them.
+    FileStableStore store(root);
+    EXPECT_EQ(store.load("a/b"), Bytes(1, std::byte{0}));
+    EXPECT_EQ(store.load("a_b"), Bytes(2, std::byte{1}));
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(StableStoreTest, FileStoreKeepsExistingFileNames) {
+  // Every key dvsd writes keeps the file it always had, so WAL directories
+  // written before the escaping still recover.
+  FileStableStore store(fresh_root("dvs_wal_fuzz_names"));
+  const std::string dir = store.root() + "/";
+  EXPECT_EQ(store.path_for("p0/vs"), dir + "p0_vs_.wal");
+  EXPECT_EQ(store.path_for("p2/dvs"), dir + "p2_dvs_.wal");
+  EXPECT_EQ(store.path_for("p1/to"), dir + "p1_to_.wal");
+  EXPECT_EQ(store.path_for("xfer/p1/meta"), dir + "xfer_p1_meta_.wal");
+  EXPECT_EQ(store.path_for("pool/p3/vs"), dir + "pool_p3_vs_.wal");
+  EXPECT_EQ(store.path_for("assignments"), dir + "assignments_.wal");
+  std::filesystem::remove_all(store.root());
+}
+
+TEST(StableStoreTest, FileStoreHoldsOneDescriptorPerJournal) {
+  const std::string root = fresh_root("dvs_wal_fuzz_fds");
+  const std::size_t baseline = open_descriptors();
+  {
+    FileStableStore store(root);
+    Wal wal(store, "p0/to");
+    const std::size_t held = open_descriptors();
+    EXPECT_EQ(held, baseline + 1);
+    for (int i = 0; i < 50; ++i) wal.append(1, [i](Writer& w) { w.u64(i); });
+    // Compaction swaps the file under the held descriptor; appends after
+    // it must land in the new file, through a reopened descriptor.
+    wal.snapshot(2, [](Writer& w) { w.u64(99); });
+    wal.append(1, [](Writer& w) { w.u64(100); });
+    EXPECT_EQ(open_descriptors(), held);
+    const WalContents c = read_wal(store, "p0/to");
+    ASSERT_EQ(c.records.size(), 2u);
+    EXPECT_EQ(c.records[0].type, 2u);
+    EXPECT_EQ(c.records[1].type, 1u);
+    // A second Wal over the same key shares the held descriptor.
+    Wal again(store, "p0/to");
+    EXPECT_EQ(open_descriptors(), held);
+    // wipe() closes what it deletes; the next append reopens.
+    store.wipe();
+    EXPECT_EQ(open_descriptors(), baseline);
+    wal.append(1, [](Writer& w) { w.u64(7); });
+    EXPECT_EQ(read_wal(store, "p0/to").records.size(), 1u);
+  }
+  EXPECT_EQ(open_descriptors(), baseline);
   std::filesystem::remove_all(root);
 }
 

@@ -4,83 +4,13 @@
 // network, with recorded traces replayed through the VS acceptor.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <memory>
-#include <vector>
-
-#include "net/sim_network.h"
-#include "spec/acceptors.h"
-#include "vsys/vs_node.h"
+#include "vs_harness.h"
 
 namespace dvs::vsys {
 namespace {
 
 using sim::kMillisecond;
 using sim::kSecond;
-
-Msg opaque(std::uint64_t uid, unsigned sender) {
-  return Msg{OpaqueMsg{uid, ProcessId{sender}}};
-}
-
-/// A little VS-only cluster with trace recording.
-class VsHarness {
- public:
-  VsHarness(std::size_t n, std::size_t members, std::uint64_t seed)
-      : rng_(seed),
-        universe_(make_universe(n)),
-        v0_{ViewId::initial(), make_universe(members)},
-        net_(sim_, rng_, net::NetConfig{}, universe_) {
-    for (ProcessId p : universe_) {
-      VsCallbacks cb;
-      cb.on_newview = [this, p](const View& v) {
-        trace_.push_back(spec::EvNewview{p, v});
-        views_[p].push_back(v);
-      };
-      cb.on_gprcv = [this, p](const Msg& m, ProcessId from) {
-        trace_.push_back(spec::EvGprcv<Msg>{from, p, m});
-        delivered_[p].push_back(m);
-      };
-      cb.on_safe = [this, p](const Msg& m, ProcessId from) {
-        trace_.push_back(spec::EvSafe<Msg>{from, p, m});
-        safes_[p].push_back(m);
-      };
-      cb.on_gpsnd = [this, p](const Msg& m) {
-        trace_.push_back(spec::EvGpsnd<Msg>{p, m});
-      };
-      nodes_[p] = std::make_unique<VsNode>(
-          p, v0_.contains(p) ? std::optional<View>{v0_} : std::nullopt, net_,
-          sim_, config_, std::move(cb));
-    }
-  }
-
-  void start() {
-    for (auto& [p, node] : nodes_) node->start();
-  }
-
-  void run_for(sim::Time d) { sim_.run_until(sim_.now() + d); }
-
-  VsNode& node(unsigned p) { return *nodes_.at(ProcessId{p}); }
-  net::SimNetwork& net() { return net_; }
-
-  spec::AcceptResult check_trace() {
-    spec::VsAcceptor acceptor(universe_, v0_);
-    return acceptor.feed_all(trace_);
-  }
-
-  std::map<ProcessId, std::vector<Msg>> delivered_;
-  std::map<ProcessId, std::vector<Msg>> safes_;
-  std::map<ProcessId, std::vector<View>> views_;
-
- private:
-  Rng rng_;
-  ProcessSet universe_;
-  View v0_;
-  sim::Simulator sim_;
-  net::SimNetwork net_;
-  VsConfig config_;
-  std::map<ProcessId, std::unique_ptr<VsNode>> nodes_;
-  std::vector<spec::VsEvent> trace_;
-};
 
 TEST(VsNodeTest, StableGroupOrdersAndStabilizesMessages) {
   VsHarness h(3, 3, 1);

@@ -10,14 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
-#include "net/sim_network.h"
-#include "spec/acceptors.h"
-#include "vsys/vs_node.h"
+#include "vs_harness.h"
 
 namespace dvs::vsys {
 namespace {
@@ -129,78 +125,6 @@ TEST(WatermarkTableTest, DifferentialAgainstNaiveMin) {
 }
 
 // ----- VS-level protocol tests ---------------------------------------------
-
-Msg opaque(std::uint64_t uid, unsigned sender) {
-  return Msg{OpaqueMsg{uid, ProcessId{sender}}};
-}
-
-/// A little VS-only cluster with trace recording and a configurable
-/// VsConfig (mirrors the harness in test_vs_node.cpp, plus the config
-/// knob the stability-mode tests need).
-class VsHarness {
- public:
-  VsHarness(std::size_t n, std::uint64_t seed, VsConfig config)
-      : rng_(seed),
-        universe_(make_universe(n)),
-        v0_{ViewId::initial(), make_universe(n)},
-        net_(sim_, rng_, net::NetConfig{}, universe_),
-        config_(config) {
-    for (ProcessId p : universe_) {
-      VsCallbacks cb;
-      cb.on_newview = [this, p](const View& v) {
-        trace_.push_back(spec::EvNewview{p, v});
-        views_[p].push_back(v);
-      };
-      cb.on_gprcv = [this, p](const Msg& m, ProcessId from) {
-        trace_.push_back(spec::EvGprcv<Msg>{from, p, m});
-        delivered_[p].push_back(m);
-      };
-      cb.on_safe = [this, p](const Msg& m, ProcessId from) {
-        trace_.push_back(spec::EvSafe<Msg>{from, p, m});
-        safes_[p].push_back(m);
-      };
-      cb.on_gpsnd = [this, p](const Msg& m) {
-        trace_.push_back(spec::EvGpsnd<Msg>{p, m});
-      };
-      nodes_[p] = std::make_unique<VsNode>(p, std::optional<View>{v0_}, net_,
-                                           sim_, config_, std::move(cb));
-    }
-  }
-
-  void start() {
-    for (auto& [p, node] : nodes_) node->start();
-  }
-
-  void run_for(sim::Time d) { sim_.run_until(sim_.now() + d); }
-
-  VsNode& node(unsigned p) { return *nodes_.at(ProcessId{p}); }
-  net::SimNetwork& net() { return net_; }
-
-  spec::AcceptResult check_trace() {
-    spec::VsAcceptor acceptor(universe_, v0_);
-    return acceptor.feed_all(trace_);
-  }
-
-  std::map<ProcessId, std::vector<Msg>> delivered_;
-  std::map<ProcessId, std::vector<Msg>> safes_;
-  std::map<ProcessId, std::vector<View>> views_;
-
- private:
-  Rng rng_;
-  ProcessSet universe_;
-  View v0_;
-  sim::Simulator sim_;
-  net::SimNetwork net_;
-  VsConfig config_;
-  std::map<ProcessId, std::unique_ptr<VsNode>> nodes_;
-  std::vector<spec::VsEvent> trace_;
-};
-
-VsConfig mode_config(StabilityMode mode) {
-  VsConfig cfg;
-  cfg.stability = mode;
-  return cfg;
-}
 
 TEST(WatermarkModeTest, StableGroupOrdersAndStabilizes) {
   VsHarness h(3, 1, mode_config(StabilityMode::kWatermark));

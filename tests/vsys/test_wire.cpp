@@ -86,6 +86,17 @@ TEST(WireTest, HeartbeatCarriesTokenRotation) {
   EXPECT_EQ(decode(encode(m)), m);
 }
 
+TEST(WireTest, WatermarkRoundTripAndRejectsTrailingBytes) {
+  const Watermark wm{ViewId{5, ProcessId{2}}, 1234, 1200};
+  const Bytes data = encode(WireMsg{wm});
+  EXPECT_EQ(decode(data), WireMsg{wm});
+  // Distinct fields: a swap would still round-trip, so pin inequality.
+  EXPECT_NE(WireMsg{(Watermark{wm.view, wm.safe, wm.delivered})}, WireMsg{wm});
+  Bytes padded = data;
+  padded.push_back(std::byte{0});
+  EXPECT_THROW((void)decode(padded), DecodeError);
+}
+
 TEST(WireTest, ToStringCoversAllVariants) {
   const View v{ViewId{3, ProcessId{1}}, make_process_set({0, 1})};
   EXPECT_NE(to_string(WireMsg{Heartbeat{}}).find("heartbeat"),
@@ -102,6 +113,8 @@ TEST(WireTest, ToStringCoversAllVariants) {
                 .find("seq"),
             std::string::npos);
   EXPECT_NE(to_string(WireMsg{Token{v.id(), 2, 3}}).find("token"),
+            std::string::npos);
+  EXPECT_NE(to_string(WireMsg{Watermark{v.id(), 4, 2}}).find("watermark"),
             std::string::npos);
 }
 

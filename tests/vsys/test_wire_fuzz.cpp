@@ -58,6 +58,8 @@ std::vector<WireMsg> samples() {
   delta.keep_len = 12;
   out.push_back(Seq{ViewId{4, ProcessId{1}}, 10, ProcessId{0}, Msg{delta}});
   out.push_back(Token{ViewId{3, ProcessId{1}}, 11, 12});
+  // Multi-byte varuints, so truncation can land mid-counter.
+  out.push_back(Watermark{ViewId{3, ProcessId{1}}, 300, 200});
   return out;
 }
 
@@ -139,6 +141,23 @@ TEST(WireFuzzTest, RandomGarbageNeverEscapesDecodeError) {
       b = static_cast<std::byte>(rng.below(256));
     }
     expect_clean_decode(junk);
+  }
+}
+
+TEST(WireFuzzTest, RandomGarbageAfterEveryTagNeverEscapesDecodeError) {
+  // Garbage bodies behind each valid tag byte (1..8, WATERMARK included),
+  // so every per-tag parser sees junk — a uniformly random first byte
+  // rarely selects a tag at all.
+  Rng rng(2025);
+  for (std::uint8_t tag = 1; tag <= 8; ++tag) {
+    for (int i = 0; i < 500; ++i) {
+      Bytes junk(1 + rng.below(40));
+      junk[0] = static_cast<std::byte>(tag);
+      for (std::size_t k = 1; k < junk.size(); ++k) {
+        junk[k] = static_cast<std::byte>(rng.below(256));
+      }
+      expect_clean_decode(junk);
+    }
   }
 }
 

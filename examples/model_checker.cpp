@@ -55,13 +55,12 @@
 // Exit code 0 = no violation found (or, under --erratum, the expected
 // violation was found). On failure, the counterexample's seed, replayable
 // fault plan and action/trace tail are printed for deterministic replay.
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "daemon/audit.h"
@@ -270,39 +269,26 @@ int run_shard_chaos(std::size_t n, std::size_t shards, std::size_t replication,
     config.chaos.settle = 2 * sim::kSecond;
   }
 
-  // Seed-indexed results → deterministic aggregation at any --jobs.
-  std::vector<shard::ShardChaosResult> results(seeds);
-  std::atomic<std::uint64_t> next{0};
-  const std::size_t workers = parallel::resolve_jobs(jobs);
-  const auto worker = [&] {
-    for (;;) {
-      const std::uint64_t i = next.fetch_add(1);
-      if (i >= seeds) return;
-      results[i] = shard::run_shard_chaos_seed(1 + i, config);
-    }
-  };
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    for (std::size_t j = 0; j < workers; ++j) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
+  // Seed-indexed results → deterministic aggregation at any --jobs. A seed
+  // that throws could not even build its cluster: a harness error, reported
+  // (lowest seed first) exactly as with --jobs 1.
+  parallel::ThreadPool pool(jobs);
+  const auto fan = pool.fan_seeds(1, seeds, [&config](std::uint64_t seed) {
+    return shard::run_shard_chaos_seed(seed, config);
+  });
+  if (fan.first_failure.has_value()) {
+    throw std::runtime_error(fan.first_failure->message);
   }
 
   std::uint64_t failed = 0;
   const shard::ShardChaosResult* first_failure = nullptr;
   tosys::ChaosStats total;
-  for (const shard::ShardChaosResult& r : results) {
-    if (!r.ok) {
+  for (const auto& r : fan.results) {
+    if (!r->ok) {
       ++failed;
-      if (first_failure == nullptr) first_failure = &r;
+      if (first_failure == nullptr) first_failure = &*r;
     }
-    total.events_checked += r.stats.events_checked;
-    total.invariant_checks += r.stats.invariant_checks;
-    total.views_installed += r.stats.views_installed;
-    total.broadcasts += r.stats.broadcasts;
-    total.deliveries += r.stats.deliveries;
-    total.fault_events += r.stats.fault_events;
+    total += r->stats;
   }
   if (first_failure != nullptr) {
     std::printf("COUNTEREXAMPLE FOUND (%llu of %llu seeds failing):\n%s\n"

@@ -53,8 +53,10 @@ echo "== recovery gate (ASan) =="
 # Crash-restart persistence under ASan: the WAL corruption fuzz (bit flips,
 # truncation at every byte, duplicated records) and the crash-point sweep
 # (a restart injected at every persistence barrier) are exactly where a
-# framing bounds mistake or a teardown use-after-free would hide.
-ctest --test-dir build-asan -R 'WalFormatTest|WalFuzzTest|StableStoreTest|LayerJournalTest|ExchangeJournalTest|CrashPointSweepTest' \
+# framing bounds mistake or a teardown use-after-free would hide. The
+# assembly-equivalence test drops and rebuilds a ProcessStack both inside
+# tosys::Cluster and as a daemon::NodeRuntime over the same store.
+ctest --test-dir build-asan -R 'WalFormatTest|WalFuzzTest|StableStoreTest|LayerJournalTest|ExchangeJournalTest|CrashPointSweepTest|AssemblyEquivalenceTest' \
   --output-on-failure
 # Chaos conformance smoke with the restart adversary: kCrash upgraded to
 # genuine crash-restart plus scripted kRestart events, oracles online.
@@ -178,6 +180,22 @@ DVS_SHARD_EQ_SEEDS=10 ./build-tsan/tests/shard_equivalence_test \
 # .scn's shard topology mirrored into the node configs), per-shard digest
 # agreement across every replica, and a per-group trace audit PASS.
 SCENARIO_FILE=scenarios/sharded-steady.scn CLUSTER_DIR=/tmp/dvs-check-shard CLUSTER_PORT=9600 ./scripts/cluster.sh scenario 5
+
+echo "== seed-fan gate =="
+# Every sweep fans seeds through ThreadPool::fan_seeds: stdout and exit code
+# are byte-identical at any --jobs, and a seed that throws is a per-seed
+# harness error, never a crashed worker thread.
+for args in "--chaos --shards 1 --smoke" "--scenario scenarios/sharded-steady.scn"; do
+  # shellcheck disable=SC2086
+  ./build/examples/model_checker $args --jobs 1 > /tmp/fan_j1.out
+  # shellcheck disable=SC2086
+  ./build/examples/model_checker $args --jobs 4 | cmp - /tmp/fan_j1.out
+done
+status=0
+./build/examples/model_checker --chaos --shards 2 --replication 9 --smoke 3 \
+  --jobs 4 > /tmp/fan_err.out || status=$?
+[[ $status -eq 2 ]] || { echo "expected a harness error (exit 2), got $status"; exit 1; }
+grep -q 'harness error: provision: replication exceeds the pool' /tmp/fan_err.out
 
 echo "== reprovision gate (ASan) =="
 # The dynamic re-provisioning suites under ASan: plan and transfer-codec

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "toimpl/dvs_to_to.h"
+
 namespace dvs::apps {
 namespace {
 
@@ -17,6 +19,16 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
 }
 
 }  // namespace
+
+KvStateMachine replay_kv(const toimpl::DvsToTo& to) {
+  KvStateMachine kv;
+  for (std::uint64_t i = 1; i < to.nextreport() && i <= to.order().size();
+       ++i) {
+    auto it = to.content().find(to.order()[i - 1]);
+    if (it != to.content().end()) kv.apply(it->second.payload);
+  }
+  return kv;
+}
 
 void KvStateMachine::mix(const std::string& command) {
   digest_ = fnv1a(digest_, command);

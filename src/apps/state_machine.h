@@ -11,6 +11,10 @@
 #include <memory>
 #include <string>
 
+namespace dvs::toimpl {
+class DvsToTo;
+}  // namespace dvs::toimpl
+
 namespace dvs::apps {
 
 class StateMachine {
@@ -51,6 +55,12 @@ class KvStateMachine final : public StateMachine {
   std::uint64_t applied_ = 0;
   std::uint64_t digest_ = 0xcbf29ce484222325ULL;  // FNV offset basis
 };
+
+/// Rebuilds a KV replica from a TO automaton's reported order prefix
+/// (positions 1 .. nextreport-1). A recovered or handed-off incarnation
+/// never re-delivers that prefix, so its application state comes from the
+/// durable order directly.
+[[nodiscard]] KvStateMachine replay_kv(const toimpl::DvsToTo& to);
 
 /// Bank-style counter machine; commands: "add <n>", "sub <n>" (saturating
 /// at zero — withdrawal beyond the balance is a deterministic no-op, the

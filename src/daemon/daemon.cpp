@@ -402,12 +402,13 @@ void Daemon::handle_transfer(ProcessId from,
     Column* col = column_for(frame.group);
     if (col == nullptr || col->store == nullptr) return;
     shard::SlotSnapshot snap;
-    snap.vs =
-        load_or_empty(*col->store, NodeRuntime::storage_key(col->local, "vs"));
+    using tosys::ProcessStack;
+    snap.vs = load_or_empty(*col->store,
+                            ProcessStack::storage_key(col->local, "vs"));
     snap.dvs = load_or_empty(*col->store,
-                             NodeRuntime::storage_key(col->local, "dvs"));
-    snap.to =
-        load_or_empty(*col->store, NodeRuntime::storage_key(col->local, "to"));
+                             ProcessStack::storage_key(col->local, "dvs"));
+    snap.to = load_or_empty(*col->store,
+                            ProcessStack::storage_key(col->local, "to"));
     snap.next = col->runtime->to().automaton().nextreport();
     const Bytes encoded = shard::encode_snapshot(snap);
     for (const shard::TransferFrame& chunk :
@@ -455,9 +456,9 @@ void Daemon::finish_join(std::uint32_t group, const Bytes& encoded) {
   // completed journals); only after it do the durable assignments commit.
   storage::FileStableStore store(config_.wal_dir + "/g" +
                                  std::to_string(group));
-  store.replace(NodeRuntime::storage_key(slot, "vs"), snap.vs);
-  store.replace(NodeRuntime::storage_key(slot, "dvs"), snap.dvs);
-  store.replace(NodeRuntime::storage_key(slot, "to"), snap.to);
+  store.replace(tosys::ProcessStack::storage_key(slot, "vs"), snap.vs);
+  store.replace(tosys::ProcessStack::storage_key(slot, "dvs"), snap.dvs);
+  store.replace(tosys::ProcessStack::storage_key(slot, "to"), snap.to);
   Writer w;
   w.varuint(snap.next);
   store.replace(shard::transfer_stage_key(slot, "meta"), w.take());

@@ -1,20 +1,20 @@
-// NodeRuntime: one process's full VS/DVS/TO stack over an abstract
+// NodeRuntime: one process's tosys::ProcessStack over an abstract
 // Transport, with a replicated key-value state machine on top.
 //
-// This is the single-process counterpart of tosys::Cluster: the same
-// bottom-up construction, the same callback wrapping for spec-event
-// observation, the same crash-restart recovery sequence — but for exactly
-// one ProcessId, over any Transport (a UdpTransport in dvsd, a shared
-// SimNetwork in the sim-vs-real differential tests). Spec events go to an
-// on-disk TraceSink (real deployments; the offline auditor replays them)
-// and/or an in-memory log (in-process tests feed it to the same auditor
-// without touching the filesystem).
+// The column itself — construction, callback wrapping, journals, the
+// crash-restart recovery sequence — is the ProcessStack that tosys::Cluster
+// also runs, one per process. What only NodeRuntime adds: the KV state
+// machine (applied on delivery, replayed from the recovered TO order after
+// a restart), spec events noted to an on-disk TraceSink (real deployments;
+// the offline auditor replays them) and/or an in-memory log (in-process
+// tests feed it to the same auditor without touching the filesystem), and
+// clock-derived broadcast uids that stay unique across incarnations.
 //
-// Recovery is automatic: if the stable store already holds journals for
-// this process, the constructor rebuilds from them exactly like
-// Cluster::restart — the node starts with no view and rejoins through the
-// membership protocol — and records the spec::EvCrash that relaxes the TO
-// sender-FIFO obligation for the lost incarnation.
+// Recovery is decided from the store: if it already holds journals for
+// this process, the stack is built in recovery mode — the node starts with
+// no view, rejoins through the membership protocol, and the stack records
+// the spec::EvCrash that relaxes the TO sender-FIFO obligation for the
+// lost incarnation.
 #pragma once
 
 #include <cstdint>
@@ -24,25 +24,14 @@
 #include <vector>
 
 #include "apps/state_machine.h"
-#include "common/types.h"
-#include "common/view.h"
 #include "daemon/trace_io.h"
-#include "dvsys/dvs_node.h"
-#include "net/transport.h"
-#include "obs/metrics.h"
-#include "sim/simulator.h"
-#include "storage/stable_store.h"
-#include "tosys/to_node.h"
-#include "vsys/vs_node.h"
+#include "tosys/process_stack.h"
 
 namespace dvs::daemon {
 
-struct RuntimeOptions {
-  vsys::VsConfig vs;
-  bool gc_enabled = true;
-  bool registration_enabled = true;
-  toimpl::DvsToToOptions to_options;
-  WeightMap weights;
+/// The column's per-layer knobs (vs, gc/registration switches, TO
+/// options, vote weights) plus the runtime's own.
+struct RuntimeOptions : tosys::StackOptions {
   /// Keep every spec event in memory (events()); in-process tests audit
   /// these directly. dvsd turns it off — its events go to the TraceSink.
   bool record_in_memory = false;
@@ -60,7 +49,7 @@ struct RuntimeDelivery {
   std::uint64_t ts_us = 0;
 };
 
-class NodeRuntime {
+class NodeRuntime : private tosys::StackObserver {
  public:
   /// `store` (nullable) enables persistence; `sink` (nullable) enables
   /// on-disk traces; `now_us` supplies event timestamps (CLOCK_REALTIME in
@@ -71,7 +60,7 @@ class NodeRuntime {
               std::function<std::uint64_t()> now_us);
 
   /// Attaches the net handler and arms the timers (VsNode::start).
-  void start();
+  void start() { stack_->start(); }
 
   /// True when the constructor found prior journals and rebuilt from them
   /// (this run is a crash-restart incarnation).
@@ -84,9 +73,9 @@ class NodeRuntime {
   [[nodiscard]] ProcessId self() const { return self_; }
   [[nodiscard]] const ProcessSet& universe() const { return universe_; }
   [[nodiscard]] const View& v0() const { return v0_; }
-  [[nodiscard]] vsys::VsNode& vs() { return *vs_; }
-  [[nodiscard]] dvsys::DvsNode& dvs() { return *dvs_; }
-  [[nodiscard]] tosys::ToNode& to() { return *to_; }
+  [[nodiscard]] vsys::VsNode& vs() { return stack_->vs(); }
+  [[nodiscard]] dvsys::DvsNode& dvs() { return stack_->dvs(); }
+  [[nodiscard]] tosys::ToNode& to() { return stack_->to(); }
   [[nodiscard]] const apps::KvStateMachine& kv() const { return kv_; }
 
   [[nodiscard]] const std::vector<RuntimeDelivery>& deliveries() const {
@@ -106,40 +95,37 @@ class NodeRuntime {
   /// constructing a runtime over transferred journals — the constructor's
   /// EvCrash must precede it in the trace.
   void note_handoff(std::uint64_t next) {
-    note(spec::ToEvent{spec::EvHandoff{self_, next}});
+    on_event(self_, spec::ToEvent{spec::EvHandoff{self_, next}});
   }
 
   /// vs/dvs/to counters plus app.applied.
   void bind_metrics(obs::MetricsRegistry& metrics);
 
-  /// Stable-store key for one layer's journal — same scheme as
-  /// tosys::Cluster ("pN/vs" etc.), so sim- and real-written WALs line up.
-  [[nodiscard]] static std::string storage_key(ProcessId p, const char* layer);
-
  private:
-  void wire();
-  void note(const spec::VsEvent& event);
-  void note(const spec::DvsEvent& event);
-  void note(const spec::ToEvent& event);
+  // StackObserver: spec events are noted to the sink and/or memory; BRCVs
+  // are applied to the state machine.
+  void on_event(ProcessId p, const spec::VsEvent& e) override;
+  void on_event(ProcessId p, const spec::DvsEvent& e) override;
+  void on_event(ProcessId p, const spec::ToEvent& e) override;
+  void on_deliver(ProcessId p, ProcessId origin, const AppMsg& a) override;
+  template <typename Event>
+  void note(std::uint8_t layer, const Event& event);
 
   ProcessId self_;
   ProcessSet universe_;
   View v0_;
   RuntimeOptions options_;
-  storage::StableStore* store_;
   TraceSink* sink_;
   std::function<std::uint64_t()> now_us_;
   bool recovered_ = false;
-
-  std::unique_ptr<vsys::VsNode> vs_;
-  std::unique_ptr<dvsys::DvsNode> dvs_;
-  std::unique_ptr<tosys::ToNode> to_;
 
   apps::KvStateMachine kv_;
   std::vector<RuntimeDelivery> deliveries_;
   std::vector<TracedEvent> events_;
   std::function<void(const RuntimeDelivery&)> delivery_hook_;
   std::uint64_t uid_salt_ = 0;
+  // Last: built once everything it reports into exists, destroyed first.
+  std::unique_ptr<tosys::ProcessStack> stack_;
 };
 
 }  // namespace dvs::daemon

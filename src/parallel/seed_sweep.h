@@ -20,11 +20,13 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/types.h"
 #include "common/view.h"
 #include "explorer/explorer.h"
 #include "impl/vs_to_dvs.h"
+#include "parallel/thread_pool.h"
 #include "toimpl/dvs_to_to.h"
 #include "tosys/chaos.h"
 
@@ -37,21 +39,34 @@ struct SeedSweepConfig {
   std::size_t jobs = 0;
 };
 
-/// The lowest failing seed of a sweep and its failure account (the
-/// ExplorationFailure::what(), which embeds the seed and action tail).
-struct SeedFailure {
-  std::uint64_t seed = 0;
-  std::string message;
-};
-
-struct SeedSweepResult {
-  /// Field-wise sum of the per-seed stats, accumulated in seed order.
-  explorer::ExplorationStats total;
+/// A finished sweep: `total` is summed in seed order and `first_failure` is
+/// always the LOWEST failing seed, so every field is byte-identical for any
+/// thread count.
+template <typename Stats>
+struct SweepResult {
+  /// Field-wise sum of the passing seeds' stats, accumulated in seed order.
+  Stats total;
   std::size_t seeds_run = 0;
   std::size_t seeds_failed = 0;
-  /// Failure of the lowest failing seed, if any seed failed.
+  /// Failure of the lowest failing seed, if any seed failed (explorers:
+  /// ExplorationFailure::what(), seed plus action tail; chaos: the
+  /// ChaosFailure message, seed plus replayable plan plus trace tail).
   std::optional<SeedFailure> first_failure;
+
+  /// Folds a fan's per-seed outcomes in seed order.
+  static SweepResult merge(SeedFan<Stats>&& fan) {
+    SweepResult result;
+    for (const std::optional<Stats>& r : fan.results) {
+      ++result.seeds_run;
+      if (r.has_value()) result.total += *r;
+    }
+    result.seeds_failed = fan.failed;
+    result.first_failure = std::move(fan.first_failure);
+    return result;
+  }
 };
+
+using SeedSweepResult = SweepResult<explorer::ExplorationStats>;
 
 /// Runs one seed to completion and returns its stats; throws
 /// explorer::ExplorationFailure (or any exception) to report a failure.
@@ -88,16 +103,8 @@ class SeedSweep {
 
 // ----- chaos sweeps ----------------------------------------------------------
 
-/// Result of fanning tosys::run_chaos_seed over a seed range. Same
-/// determinism contract as SeedSweepResult: `total` is summed in seed
-/// order and `first_failure` is always the LOWEST failing seed, so every
-/// field is byte-identical for any thread count.
-struct ChaosSweepResult {
-  tosys::ChaosStats total;
-  std::size_t seeds_run = 0;
-  std::size_t seeds_failed = 0;
-  std::optional<SeedFailure> first_failure;
-};
+/// Result of fanning tosys::run_chaos_seed over a seed range.
+using ChaosSweepResult = SweepResult<tosys::ChaosStats>;
 
 /// Runs the FaultPlan-driven full-stack chaos executions (tosys/chaos.h)
 /// for the seeds in `config`, each with the conformance oracles attached.

@@ -6,14 +6,11 @@
 #include "common/rng.h"
 #include "net/fault_plan.h"
 #include "obs/stack_tracer.h"
-#include "shard/shard_cluster.h"
-#include "tosys/cluster.h"
+#include "shard/deployment.h"
 
 namespace dvs::shard {
 namespace {
 
-/// Mirrors tosys::run_chaos_seed's ClusterConfig assembly exactly — the
-/// K=1 differential depends on both drivers building the same column.
 tosys::ClusterConfig make_base(const tosys::ChaosConfig& c) {
   tosys::ClusterConfig cc;
   cc.n_processes = c.n_processes;
@@ -31,182 +28,94 @@ tosys::ClusterConfig make_base(const tosys::ChaosConfig& c) {
   cc.record_traces = true;
   cc.conformance_oracle = true;
   cc.to_options = c.to_options;
+  // Restart adversaries need somewhere to recover from.
   cc.persistence =
       c.persistence || c.crashes_restart || c.plan.w_restart > 0;
   return cc;
 }
 
-/// The seeded client load: same salt, same draw sequence as
-/// tosys::run_chaos_seed. `inject(i, p, uid)` places broadcast i drawn for
-/// pool process p.
-template <typename Inject>
-void schedule_load(sim::Simulator& sim, std::uint64_t seed,
-                   const tosys::ChaosConfig& c, const ProcessSet& pool,
-                   Inject inject) {
-  Rng load(seed ^ 0xb0adca5700150adULL);
-  const std::vector<ProcessId> procs(pool.begin(), pool.end());
-  std::uint64_t uid = 1;
-  for (std::size_t i = 0; i < c.broadcasts; ++i) {
-    const auto at = static_cast<sim::Time>(
-        1 + load.below(static_cast<std::size_t>(c.plan.horizon)));
-    const ProcessId p = procs[load.below(procs.size())];
-    const std::uint64_t u = uid++;
-    sim.schedule_at(at, [inject, i, p, u] { inject(i, p, u); });
-  }
-}
+}  // namespace
 
-ShardChaosResult run_unsharded(std::uint64_t seed,
-                               const ShardChaosConfig& config,
-                               const ProcessSet& targets) {
-  const tosys::ChaosConfig& c = config.chaos;
-  const tosys::ClusterConfig cc = make_base(c);
-  tosys::Cluster cluster(cc, seed);
-
-  const net::FaultPlan plan = net::FaultPlan::random(seed, targets, c.plan);
-  ShardChaosResult out;
-  out.plan_text = plan.to_string();
-  net::FaultPlan::ScheduleHooks hooks;
-  hooks.crashes_restart = c.crashes_restart;
-  if (cc.persistence) {
-    hooks.restart = [&cluster](ProcessId p) { cluster.restart(p); };
-  }
-  plan.schedule(cluster.sim(), cluster.net(), hooks);
-
-  schedule_load(cluster.sim(), seed, c, cluster.universe(),
-                [&cluster](std::size_t, ProcessId p, std::uint64_t u) {
-                  cluster.bcast(p, AppMsg{u, p, "x"});
-                });
-
-  if (c.invariant_check_period > 0) {
-    for (sim::Time t = c.invariant_check_period; t < c.plan.horizon;
-         t += c.invariant_check_period) {
-      cluster.sim().schedule_at(
-          t, [&cluster] { (void)cluster.oracle().check_invariants(); });
-    }
-  }
-
-  cluster.start();
-  cluster.run_for(c.plan.horizon);
-  cluster.net().heal();
-  for (ProcessId p : cluster.universe()) cluster.net().resume(p);
-  cluster.run_for(c.settle);
-  (void)cluster.oracle().check_invariants();
-
-  if (!cluster.oracle().ok()) {
-    out.ok = false;
-    out.failure = "chaos seed " + std::to_string(seed) + ": " +
-                  cluster.oracle().violation()->to_string();
-  }
-
-  out.orders.resize(1);
-  out.orders[0].resize(c.n_processes);
-  for (const tosys::Delivery& d : cluster.deliveries()) {
-    out.orders[0][d.receiver.value()].push_back(d.msg.uid);
-  }
-
-  tosys::ChaosStats& s = out.stats;
-  s.events_checked = cluster.oracle().events_checked();
-  s.invariant_checks = cluster.oracle().invariant_checks();
-  s.broadcasts = c.broadcasts;
-  s.deliveries = cluster.deliveries().size();
-  s.fault_events = plan.events.size();
-  for (ProcessId p : cluster.universe()) {
-    const auto& vstats = cluster.vs_node(p).stats();
-    s.views_installed += vstats.views_installed;
-    s.decode_errors += vstats.decode_errors;
-    s.duplicates_suppressed += vstats.duplicates_suppressed;
-  }
-  const net::NetStats& ns = cluster.net().stats();
-  s.net_sent = ns.sent;
-  s.net_delivered = ns.delivered;
-  s.duplicated = ns.duplicated;
-  s.reordered = ns.reordered;
-  s.truncated = ns.truncated;
-  s.datagrams = ns.datagrams;
-  s.batches = ns.batches;
-  s.batched_msgs = ns.batched_msgs;
-  s.restarts = cluster.restarts();
-  if (cluster.store() != nullptr) {
-    const storage::StorageStats& ss = cluster.store()->stats();
-    s.wal_appends = ss.appends;
-    s.wal_bytes = ss.bytes_written();
-  }
-  obs::publish_span_invariants(obs::check_span_invariants(cluster.trace()),
-                               cluster.metrics());
-  s.metrics = cluster.metrics_snapshot();
-  return out;
-}
-
-ShardChaosResult run_sharded(std::uint64_t seed,
-                             const ShardChaosConfig& config,
-                             const ProcessSet& targets) {
+ShardChaosResult run_shard_chaos_seed(std::uint64_t seed,
+                                      const ShardChaosConfig& config) {
   const tosys::ChaosConfig& c = config.chaos;
   ShardClusterConfig scc;
   scc.shards = config.shards;
   scc.replication = config.replication;
   scc.dynamic = config.dynamic;
   scc.base = make_base(c);
-  if (scc.dynamic) scc.base.persistence = true;
-  ShardCluster sc(scc, seed);
+  Deployment d(scc, seed);
 
+  const ProcessSet& targets =
+      config.fault_targets.empty() ? d.pool() : config.fault_targets;
   const net::FaultPlan plan = net::FaultPlan::random(seed, targets, c.plan);
   ShardChaosResult out;
   out.plan_text = plan.to_string();
   net::FaultPlan::ScheduleHooks hooks;
   hooks.crashes_restart = c.crashes_restart;
-  if (scc.base.persistence) {
-    hooks.restart = [&sc](ProcessId p) { sc.restart(p); };
+  if (d.base().persistence) {
+    hooks.restart = [&d](ProcessId p) { d.restart(p); };
   }
-  plan.schedule(sc.sim(), sc.net(), hooks);
+  plan.schedule(d.sim(), d.net(), hooks);
 
-  // Broadcast i goes to shard (i mod K) + 1 at the replica its drawn pool
-  // process folds onto; at K=1 full replication this is exactly the
-  // unsharded load, broadcast for broadcast.
-  const std::size_t shard_count = sc.shard_count();
-  schedule_load(
-      sc.sim(), seed, c, sc.pool(),
-      [&sc, shard_count](std::size_t i, ProcessId p, std::uint64_t u) {
-        const auto k = static_cast<std::uint32_t>(i % shard_count) + 1;
-        const std::size_t r = sc.assignment(k).replicas.size();
-        const ProcessId local(static_cast<std::uint32_t>(p.value() % r));
-        sc.bcast(k, local, AppMsg{u, local, "x"});
-      });
+  // Client load at seeded times across the horizon, decorrelated from both
+  // the network rng and the plan generator so the three sources of
+  // randomness never lock step. Broadcast i goes to column (i mod K) + 1 at
+  // the replica its drawn pool process folds onto; with one column over the
+  // whole pool that is the drawn process itself.
+  Rng load(seed ^ 0xb0adca5700150adULL);
+  const std::vector<ProcessId> procs(d.pool().begin(), d.pool().end());
+  for (std::size_t i = 0; i < c.broadcasts; ++i) {
+    const auto at = static_cast<sim::Time>(
+        1 + load.below(static_cast<std::size_t>(c.plan.horizon)));
+    const ProcessId p = procs[load.below(procs.size())];
+    const auto k = static_cast<std::uint32_t>(i % d.columns()) + 1;
+    const std::uint64_t uid = i + 1;
+    d.sim().schedule_at(at, [&d, k, p, uid] {
+      tosys::Cluster& column = d.column(k);
+      const ProcessId local(
+          static_cast<std::uint32_t>(p.value() % column.universe().size()));
+      column.bcast(local, AppMsg{uid, local, "x"});
+    });
+  }
 
+  // Mid-run Invariant 4.1/4.2 checks against the oracles' resolved DVS
+  // state — a transiently bad state between events is caught even if the
+  // event stream itself stays acceptable.
   if (c.invariant_check_period > 0) {
     for (sim::Time t = c.invariant_check_period; t < c.plan.horizon;
          t += c.invariant_check_period) {
-      sc.sim().schedule_at(t, [&sc] { (void)sc.check_invariants(); });
+      d.sim().schedule_at(t, [&d] { (void)d.check_invariants(); });
     }
   }
 
-  sc.start();
-  sc.run_for(c.plan.horizon);
-  sc.net().heal();
-  for (ProcessId p : sc.pool()) sc.net().resume(p);
-  sc.run_for(c.settle);
-  (void)sc.check_invariants();
+  d.start();
+  d.run_for(c.plan.horizon);
+  // Recovery phase: full connectivity back, everyone resumed, and time to
+  // converge — the oracles watch the repair traffic too.
+  d.net().heal();
+  for (ProcessId p : d.pool()) d.net().resume(p);
+  d.run_for(c.settle);
+  (void)d.check_invariants();
 
-  if (!sc.oracle_ok()) {
+  if (const std::optional<std::string> violation = d.violation()) {
     out.ok = false;
-    out.failure = "chaos seed " + std::to_string(seed) + ": " +
-                  sc.violation_message();
-  }
-
-  out.orders.resize(shard_count);
-  for (std::size_t k = 1; k <= shard_count; ++k) {
-    tosys::Cluster& column = sc.shard(static_cast<std::uint32_t>(k));
-    out.orders[k - 1].resize(sc.assignment(k).replicas.size());
-    for (const tosys::Delivery& d : column.deliveries()) {
-      out.orders[k - 1][d.receiver.value()].push_back(d.msg.uid);
-    }
+    out.violation = *violation;
+    out.trace_tail = d.trace_tail();
+    out.failure = "chaos seed " + std::to_string(seed) + ": " + out.violation;
   }
 
   tosys::ChaosStats& s = out.stats;
   s.broadcasts = c.broadcasts;
   s.fault_events = plan.events.size();
-  s.restarts = sc.restarts();
-  for (std::size_t k = 1; k <= shard_count; ++k) {
-    tosys::Cluster& column = sc.shard(static_cast<std::uint32_t>(k));
+  s.restarts = d.restarts();
+  out.orders.resize(d.columns());
+  for (std::uint32_t k = 1; k <= d.columns(); ++k) {
+    tosys::Cluster& column = d.column(k);
+    out.orders[k - 1].resize(column.universe().size());
+    for (const tosys::Delivery& del : column.deliveries()) {
+      out.orders[k - 1][del.receiver.value()].push_back(del.msg.uid);
+    }
     s.events_checked += column.oracle().events_checked();
     s.invariant_checks += column.oracle().invariant_checks();
     s.deliveries += column.deliveries().size();
@@ -221,12 +130,15 @@ ShardChaosResult run_sharded(std::uint64_t seed,
       s.wal_appends += ss.appends;
       s.wal_bytes += ss.bytes_written();
     }
+    // The end-of-run span-invariant check travels inside the snapshot
+    // (all-zero on a conforming run).
     obs::publish_span_invariants(obs::check_span_invariants(column.trace()),
                                  column.metrics());
   }
-  // Pool-wide wire counters: include the top-level VS group's traffic, so
-  // they are NOT comparable to an unsharded run even at K=1.
-  const net::NetStats& ns = sc.net().stats();
+  // Wire counters of the fault surface: pool-wide when sharded (they
+  // include the top-level VS group's traffic), so NOT comparable to a plain
+  // run even at K=1.
+  const net::NetStats& ns = d.net().stats();
   s.net_sent = ns.sent;
   s.net_delivered = ns.delivered;
   s.duplicated = ns.duplicated;
@@ -235,22 +147,34 @@ ShardChaosResult run_sharded(std::uint64_t seed,
   s.datagrams = ns.datagrams;
   s.batches = ns.batches;
   s.batched_msgs = ns.batched_msgs;
-  s.metrics = sc.metrics_snapshot();
-  out.migrations = sc.migrations();
-  out.migration_stalls = sc.migration_stalls();
-  out.migrations_lost = sc.migrations_lost();
+  s.metrics = d.metrics_snapshot();
+  if (const ShardCluster* sc = d.sharded()) {
+    out.migrations = sc->migrations();
+    out.migration_stalls = sc->migration_stalls();
+    out.migrations_lost = sc->migrations_lost();
+  }
   return out;
 }
 
-}  // namespace
+}  // namespace dvs::shard
 
-ShardChaosResult run_shard_chaos_seed(std::uint64_t seed,
-                                      const ShardChaosConfig& config) {
-  const ProcessSet pool = make_universe(config.chaos.n_processes);
-  const ProcessSet& targets =
-      config.fault_targets.empty() ? pool : config.fault_targets;
-  if (config.shards == 0) return run_unsharded(seed, config, targets);
-  return run_sharded(seed, config, targets);
+namespace dvs::tosys {
+
+ChaosStats run_chaos_seed(std::uint64_t seed, const ChaosConfig& config) {
+  shard::ShardChaosConfig one_column;
+  one_column.shards = 0;
+  one_column.chaos = config;
+  shard::ShardChaosResult r = shard::run_shard_chaos_seed(seed, one_column);
+  if (!r.ok) {
+    std::string message = "chaos seed " + std::to_string(seed) +
+                          " (n=" + std::to_string(config.n_processes) +
+                          "): " + r.violation;
+    message += "\nfault plan (replay with net::FaultPlan::parse):\n";
+    message += r.plan_text;
+    if (!r.trace_tail.empty()) message += "trace tail:\n" + r.trace_tail;
+    throw ChaosFailure(seed, message);
+  }
+  return std::move(r.stats);
 }
 
-}  // namespace dvs::shard
+}  // namespace dvs::tosys

@@ -1,18 +1,18 @@
-// Sharded chaos harness: FaultPlan-driven adversarial executions of a
-// ShardCluster (or, with shards == 0, the legacy unsharded Cluster driven
-// by the *same* schedule code) with every shard's conformance oracle
-// attached.
+// The chaos harness: FaultPlan-driven adversarial executions of either
+// deployment of the column (shard::Deployment) with every column's
+// conformance oracle attached. shards == 0 runs one plain tosys::Cluster
+// over the whole pool — tosys::run_chaos_seed is exactly that case,
+// rethrown as ChaosFailure — and K >= 1 a ShardCluster.
 //
-// The driver reproduces tosys::run_chaos_seed's deterministic structure —
-// same plan generator, same client-load Rng and draw sequence, same
-// heal/resume/settle epilogue — and extracts a comparable verdict: pass /
-// fail plus the per-receiver delivery orders of every shard. That verdict
-// is the byte-compare artifact of the K=1 equivalence differential
-// (tests/shard/test_single_shard_equivalence.cpp): shards=0 (unsharded
-// tosys::Cluster) and shards=1 (full-replication ShardCluster) must agree
-// exactly, seed for seed. NetStats-derived counters are pool-wide in the
-// sharded runs (they include top-level VS traffic), so they are reported
-// but are NOT part of the equivalence verdict.
+// One body drives both: the same plan generator, the same client-load Rng
+// and draw sequence, the same heal/resume/settle epilogue. It extracts a
+// comparable verdict: pass / fail plus the per-receiver delivery orders of
+// every column. That verdict is the byte-compare artifact of the K=1
+// equivalence differential (tests/shard/test_single_shard_equivalence.cpp):
+// shards=0 and shards=1 (full replication) must agree exactly, seed for
+// seed. NetStats-derived counters are pool-wide in the sharded runs (they
+// include top-level VS traffic), so they are reported but are NOT part of
+// the equivalence verdict.
 //
 // Fault targeting: `fault_targets` restricts the generated FaultPlan to a
 // subset of the pool — the isolation test aims the adversary at exactly
@@ -30,7 +30,7 @@
 namespace dvs::shard {
 
 struct ShardChaosConfig {
-  /// 0 = run the legacy unsharded tosys::Cluster (the differential
+  /// 0 = one plain tosys::Cluster over the whole pool (the differential
   /// baseline); K >= 1 = a ShardCluster with K shards.
   std::size_t shards = 1;
   /// Replicas per shard (0 = whole pool). Ignored when shards == 0.
@@ -49,13 +49,17 @@ struct ShardChaosConfig {
 
 struct ShardChaosResult {
   bool ok = true;
-  /// Oracle diagnosis naming the violated shard; empty on a clean run.
+  /// "chaos seed <s>: " + violation; empty on a clean run.
   std::string failure;
+  /// The oracle's diagnosis (a sharded one names its shard) and, for a
+  /// plain cluster, the recorded trace tail; empty on a clean run.
+  std::string violation;
+  std::string trace_tail;
   /// Replayable fault plan text (empty only if construction failed early).
   std::string plan_text;
   /// orders[k-1][local receiver] = sequence of delivered AppMsg uids, in
   /// delivery order. For shards == 0 there is exactly one entry (the
-  /// unsharded cluster as "shard 1"). This is the equivalence artifact.
+  /// plain cluster as column 1). This is the equivalence artifact.
   std::vector<std::vector<std::vector<std::uint64_t>>> orders;
   /// Aggregated counters (pool-wide net numbers in sharded mode).
   tosys::ChaosStats stats;
@@ -67,9 +71,10 @@ struct ShardChaosResult {
   std::uint64_t migrations_lost = 0;
 };
 
-/// Runs one seeded sharded chaos execution to completion. Unlike
+/// Runs one seeded chaos execution to completion. Unlike
 /// tosys::run_chaos_seed it reports violations in the result rather than
-/// throwing, so sweeps can compare verdicts byte-for-byte.
+/// throwing, so sweeps can compare verdicts byte-for-byte; it throws only
+/// for a configuration it cannot build (e.g. replication above the pool).
 [[nodiscard]] ShardChaosResult run_shard_chaos_seed(
     std::uint64_t seed, const ShardChaosConfig& config);
 

@@ -16,7 +16,7 @@ constexpr std::uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ULL;
 
 /// Episode staging keys (see shard::transfer_stage_key): the snapshot is
 /// staged here, the commit marker lives at leaf "meta", and the installed
-/// journals (tosys::Cluster::storage_key) are only touched after the
+/// journals (tosys::ProcessStack::storage_key) are only touched after the
 /// marker commits.
 std::string xfer_key(ProcessId slot, const char* leaf) {
   return transfer_stage_key(slot, leaf);
@@ -203,10 +203,11 @@ void ShardCluster::migrate_slot(std::uint32_t group, ProcessId source_slot,
   // space); the real-transport daemon ships the same bytes as 0x48 frames.
   migration_barrier();
   SlotSnapshot snap;
-  snap.vs = load_or_empty(*store, tosys::Cluster::storage_key(source_slot, "vs"));
+  using tosys::ProcessStack;
+  snap.vs = load_or_empty(*store, ProcessStack::storage_key(source_slot, "vs"));
   snap.dvs =
-      load_or_empty(*store, tosys::Cluster::storage_key(source_slot, "dvs"));
-  snap.to = load_or_empty(*store, tosys::Cluster::storage_key(source_slot, "to"));
+      load_or_empty(*store, ProcessStack::storage_key(source_slot, "dvs"));
+  snap.to = load_or_empty(*store, ProcessStack::storage_key(source_slot, "to"));
   migration_barrier();
   store->replace(xfer_key(m.slot, "vs"), snap.vs);
   migration_barrier();
@@ -227,14 +228,15 @@ void ShardCluster::install_slot(std::uint32_t group, ProcessId slot,
                                 ProcessId to_pool) {
   Shard& s = shards_[group - 1];
   storage::StableStore* store = s.cluster->store();
+  using tosys::ProcessStack;
   migration_barrier();
-  store->replace(tosys::Cluster::storage_key(slot, "vs"),
+  store->replace(ProcessStack::storage_key(slot, "vs"),
                  load_or_empty(*store, xfer_key(slot, "vs")));
   migration_barrier();
-  store->replace(tosys::Cluster::storage_key(slot, "dvs"),
+  store->replace(ProcessStack::storage_key(slot, "dvs"),
                  load_or_empty(*store, xfer_key(slot, "dvs")));
   migration_barrier();
-  store->replace(tosys::Cluster::storage_key(slot, "to"),
+  store->replace(ProcessStack::storage_key(slot, "to"),
                  load_or_empty(*store, xfer_key(slot, "to")));
   // Volatile cutover, synchronous within the current simulator event so no
   // message can observe a half-moved slot: detach the departed process from

@@ -10,7 +10,9 @@
 // against the Figure 1/2/5 specifications as it happens, and Invariants
 // 4.1/4.2 are re-checked periodically against the DVS acceptor's resolved
 // state. After the horizon the network heals, everyone resumes, and the run
-// settles — recovery paths are exercised, not just degradation.
+// settles — recovery paths are exercised, not just degradation. This is
+// the one-column case of the chaos harness (shard::run_shard_chaos_seed
+// with shards == 0), which runs the same schedule over a ShardCluster too.
 //
 // A violation throws ChaosFailure whose message embeds the seed, the full
 // replayable FaultPlan text (net::FaultPlan::parse round-trips it) and the
@@ -138,7 +140,9 @@ class ChaosFailure : public std::runtime_error {
 };
 
 /// Runs one seeded chaos execution to completion and returns its counters;
-/// throws ChaosFailure on any oracle rejection or invariant violation.
+/// throws ChaosFailure on any oracle rejection or invariant violation. The
+/// one-column case of the chaos harness, shard::run_shard_chaos_seed, and
+/// defined next to it (link dvs_shard).
 [[nodiscard]] ChaosStats run_chaos_seed(std::uint64_t seed,
                                         const ChaosConfig& config = {});
 

@@ -10,32 +10,24 @@
 #include <memory>
 #include <vector>
 
-#include "common/labels.h"
 #include "common/rng.h"
-#include "common/types.h"
-#include "common/view.h"
-#include "dvsys/dvs_node.h"
 #include "net/sim_network.h"
-#include "obs/metrics.h"
 #include "obs/stack_tracer.h"
 #include "obs/trace.h"
-#include "sim/simulator.h"
 #include "spec/acceptors.h"
-#include "spec/events.h"
 #include "spec/trace_recorder.h"
-#include "storage/stable_store.h"
-#include "tosys/to_node.h"
-#include "vsys/vs_node.h"
+#include "tosys/process_stack.h"
 
 namespace dvs::tosys {
 
-struct ClusterConfig {
+/// The column knobs every process shares (StackOptions: vs, to_options,
+/// gc_enabled, registration_enabled, weights) plus the deployment's own.
+struct ClusterConfig : StackOptions {
   std::size_t n_processes = 3;
   /// Number of processes in the initial view v0 (the first k ids);
   /// 0 means all of them.
   std::size_t initial_members = 0;
   net::NetConfig net;
-  vsys::VsConfig vs;
   /// Record per-layer external traces (costs memory on long runs).
   bool record_traces = true;
   /// Feed every external event through the spec acceptors as it happens
@@ -44,24 +36,12 @@ struct ClusterConfig {
   /// replays millions of events/s), so it defaults on; benchmarks that want
   /// the raw stack can disable it together with record_traces.
   bool conformance_oracle = true;
-  /// TO-automaton behaviour switches, e.g. printed_figure_mode to
-  /// re-inject the paper's Figure 5 errata (harness self-validation: the
-  /// oracle must reject such runs).
-  toimpl::DvsToToOptions to_options;
-  /// Ablation knobs (see bench_ablation): the paper's garbage-collection
-  /// and registration mechanisms can be switched off to measure their
-  /// contribution to adaptivity.
-  bool gc_enabled = true;
-  bool registration_enabled = true;
   /// Always-on observability: every layer's stats publish into one
   /// obs::MetricsRegistry and the stack's external actions become causal
   /// spans in an obs::TraceLog (see obs::StackTracer). Cheap — counters are
   /// struct-backed and scraped only at snapshot time — but benchmarks that
   /// want the raw stack can disable it.
   bool observability = true;
-  /// Vote weights for weighted dynamic voting (empty = the paper's
-  /// unweighted rule).
-  WeightMap weights;
   /// Crash-restart persistence: every layer journals its durable state
   /// (write-ahead, synchronous within the simulator event) into a stable
   /// store, and Cluster::restart(p) can tear a process down and rebuild it
@@ -101,7 +81,9 @@ struct Delivery {
   sim::Time at;
 };
 
-class Cluster {
+/// n ProcessStacks over one simulated network, observed by one
+/// TraceRecorder (the conformance oracle) and one StackTracer.
+class Cluster : private StackObserver {
  public:
   Cluster(ClusterConfig config, std::uint64_t seed);
 
@@ -118,9 +100,13 @@ class Cluster {
   [[nodiscard]] const ProcessSet& universe() const { return universe_; }
   [[nodiscard]] const View& v0() const { return v0_; }
 
-  [[nodiscard]] vsys::VsNode& vs_node(ProcessId p) { return *vs_.at(p); }
-  [[nodiscard]] dvsys::DvsNode& dvs_node(ProcessId p) { return *dvs_.at(p); }
-  [[nodiscard]] ToNode& to_node(ProcessId p) { return *to_.at(p); }
+  [[nodiscard]] vsys::VsNode& vs_node(ProcessId p) {
+    return stacks_.at(p)->vs();
+  }
+  [[nodiscard]] dvsys::DvsNode& dvs_node(ProcessId p) {
+    return stacks_.at(p)->dvs();
+  }
+  [[nodiscard]] ToNode& to_node(ProcessId p) { return stacks_.at(p)->to(); }
 
   /// Client broadcast at p (recorded in the TO trace).
   void bcast(ProcessId p, AppMsg a);
@@ -137,10 +123,10 @@ class Cluster {
 
   // ----- crash-restart recovery ----------------------------------------------
 
-  /// Crash-restarts p (FaultPlan kRestart): the whole per-process stack is
-  /// destroyed and rebuilt from its stable storage only — VS keeps nothing
-  /// but its epoch floor, DVS its att/reg knowledge (Invariants 4.1/4.2
-  /// survive the crash), TO its content/order/confirm cursors. The new
+  /// Crash-restarts p (FaultPlan kRestart): p's ProcessStack is dropped and
+  /// built again in recovery mode from its stable storage only — VS keeps
+  /// nothing but its epoch floor, DVS its att/reg knowledge (Invariants
+  /// 4.1/4.2 survive the crash), TO its content/order/confirm cursors. The new
   /// incarnation starts with no view and rejoins through the normal
   /// membership protocol; spec acceptors and the span tracer keep checking
   /// across the boundary. Requires persistence (throws otherwise). Safe to
@@ -153,13 +139,6 @@ class Cluster {
   /// Tests install barrier hooks on it to enumerate crash points.
   [[nodiscard]] storage::StableStore* store() { return store_; }
   [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
-
-  /// Journal key of p's `layer` record ("vs" | "dvs" | "to") in the stable
-  /// store. Public so shard re-provisioning (src/shard/reprovision.h) can
-  /// copy a column's durable state between slots with the same encodings
-  /// Cluster itself journals and recovers.
-  [[nodiscard]] static std::string storage_key(ProcessId p,
-                                               const char* layer);
 
   /// Records HANDOFF(next)_p in the TO trace / oracle: p's slot has been
   /// re-provisioned onto a host that adopted a survivor's durable state
@@ -216,16 +195,16 @@ class Cluster {
   [[nodiscard]] std::string trace_json() const { return trace_.to_json(); }
 
  private:
-  /// Installs the callback wrappers (oracle + tracer + layer forwarding)
-  /// on p's freshly built node stack. Shared between construction and
-  /// restart().
-  void wire_process(ProcessId p);
-  /// Attaches every layer's journal for p (baseline snapshots double as
-  /// compaction after a restart).
-  void attach_process_storage(ProcessId p);
-  /// bind_metrics for p's three nodes, remembering the collector ids so
-  /// restart() can drop the stale collectors.
-  void bind_process_metrics(ProcessId p);
+  // StackObserver: every process's spec events feed the recorder (when
+  // traces or the oracle are on) and the span tracer (when observability
+  // is on); BRCVs land in deliveries() and the delivery hook.
+  void on_event(ProcessId p, const spec::VsEvent& e) override;
+  void on_event(ProcessId p, const spec::DvsEvent& e) override;
+  void on_event(ProcessId p, const spec::ToEvent& e) override;
+  void on_deliver(ProcessId p, ProcessId origin, const AppMsg& a) override;
+
+  /// Builds p's stack (fresh or recovered) and binds its metrics.
+  void build_stack(ProcessId p, bool recover);
 
   ClusterConfig config_;
   Rng rng_;
@@ -240,9 +219,8 @@ class Cluster {
   net::Transport* transport_ = nullptr;   // = net_.get() when owned
   std::unique_ptr<storage::MemStableStore> owned_store_;
   storage::StableStore* store_ = nullptr;  // null = persistence off
-  std::map<ProcessId, std::unique_ptr<vsys::VsNode>> vs_;
-  std::map<ProcessId, std::unique_ptr<dvsys::DvsNode>> dvs_;
-  std::map<ProcessId, std::unique_ptr<ToNode>> to_;
+  bool observe_ = false;  // record_traces || conformance_oracle
+  std::map<ProcessId, std::unique_ptr<ProcessStack>> stacks_;
   std::map<ProcessId, std::vector<std::size_t>> collector_ids_;
   std::uint64_t restarts_ = 0;
 

@@ -1,20 +1,18 @@
 #include "workload/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "apps/state_machine.h"
-#include "common/labels.h"
 #include "net/fault_plan.h"
 #include "obs/stack_tracer.h"
+#include "parallel/thread_pool.h"
+#include "shard/deployment.h"
 #include "tosys/cluster.h"
-#include "workload/shard_runner.h"
 
 namespace dvs::workload {
 
@@ -57,13 +55,12 @@ SloReport skeleton_report(const Scenario& sc) {
 
 std::string failure_message(std::uint64_t seed, const Scenario& sc,
                             const net::FaultPlan& plan,
-                            const spec::TraceRecorder& oracle) {
+                            const std::string& violation,
+                            const std::string& tail) {
   std::string out = "scenario '" + sc.name + "' seed " + std::to_string(seed) +
-                    " (n=" + std::to_string(sc.n) +
-                    "): " + oracle.violation()->to_string();
+                    " (n=" + std::to_string(sc.n) + "): " + violation;
   out += "\nfault plan (replay with net::FaultPlan::parse):\n";
   out += plan.to_string();
-  const std::string tail = oracle.tail();
   if (!tail.empty()) out += "trace tail:\n" + tail;
   return out;
 }
@@ -72,9 +69,15 @@ std::string failure_message(std::uint64_t seed, const Scenario& sc,
 
 SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
   sc.validate();
-  if (sc.shards > 0) return detail::run_sharded_scenario_seed(sc, seed);
 
-  tosys::ClusterConfig cc;
+  // The deployment is the only per-deployment seam: construction, key
+  // routing, the oracle diagnosis, the handoff hook and the metric export
+  // (shard::Deployment). Everything below runs over its columns.
+  shard::ShardClusterConfig scc;
+  scc.shards = sc.shards;
+  scc.replication = sc.replication;
+  scc.dynamic = sc.dynamic;
+  tosys::ClusterConfig& cc = scc.base;
   cc.n_processes = sc.n;
   cc.initial_members = sc.initial;
   cc.net = sc.net_config();
@@ -97,7 +100,8 @@ SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
   cc.record_traces = false;
   cc.conformance_oracle = true;
   cc.persistence = sc.needs_persistence();
-  tosys::Cluster cluster(cc, seed);
+  shard::Deployment cluster(scc, seed);
+  const std::size_t columns = cluster.columns();
 
   const net::FaultPlan plan = sc.compile_faults(seed);
   net::FaultPlan::ScheduleHooks hooks;
@@ -142,7 +146,13 @@ SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
   }
 
   // ----- replicated application ---------------------------------------------
-  std::vector<apps::KvStateMachine> replicas(sc.n);
+  // One KV replica per (column, column-local process): each column
+  // replicates exactly its own key partition.
+  std::vector<std::vector<apps::KvStateMachine>> kv;
+  kv.reserve(columns);
+  for (std::uint32_t k = 1; k <= columns; ++k) {
+    kv.emplace_back(cluster.column(k).universe().size());
+  }
   std::unordered_map<std::uint64_t, PendingWrite> pending;
   std::uint64_t next_uid = 1;
 
@@ -177,25 +187,38 @@ SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
     sim.schedule_at(at, [&issue_op, ci] { issue_op(ci); });
   };
 
-  cluster.set_delivery_hook([&](const tosys::Delivery& d) {
-    replicas[d.receiver.value()].apply(d.msg.payload);
-    auto it = pending.find(d.msg.uid);
-    if (it == pending.end()) return;
-    PendingWrite& w = it->second;
-    const sim::Time lat = d.at - w.submitted;
-    delivery_hist.observe(lat);
-    if (d.receiver != d.msg.origin || w.committed) return;
-    w.committed = true;
-    commit_hist.observe(lat);
-    phase_hist[w.phase]->observe(lat);
-    ++report.commits;
-    ++report.completed;
-    ++report.phases[w.phase].completed;
-    ClientState& c = clients[w.client];
-    if (sc.closed_loop && c.waiting_uid == d.msg.uid) {
-      c.waiting_uid = 0;
-      schedule_next(w.client);
-    }
+  for (std::uint32_t k = 1; k <= columns; ++k) {
+    cluster.column(k).set_delivery_hook([&, k](const tosys::Delivery& d) {
+      kv[k - 1][d.receiver.value()].apply(d.msg.payload);
+      auto it = pending.find(d.msg.uid);
+      if (it == pending.end()) return;
+      PendingWrite& w = it->second;
+      const sim::Time lat = d.at - w.submitted;
+      delivery_hist.observe(lat);
+      if (d.receiver != d.msg.origin || w.committed) return;
+      w.committed = true;
+      commit_hist.observe(lat);
+      phase_hist[w.phase]->observe(lat);
+      ++report.commits;
+      ++report.completed;
+      ++report.phases[w.phase].completed;
+      ClientState& c = clients[w.client];
+      if (sc.closed_loop && c.waiting_uid == d.msg.uid) {
+        c.waiting_uid = 0;
+        schedule_next(w.client);
+      }
+    });
+  }
+
+  // After a migration the slot's new incarnation owns the donor's delivered
+  // prefix — positions the old KV mirror may never have applied (the donor
+  // was ahead) or has already applied (the donor lagged; re-deliveries
+  // re-apply idempotently through the delivery hook). Rebuild the mirror
+  // from the column's recovered order so the digest-convergence check stays
+  // meaningful across re-provisioning.
+  cluster.set_handoff_hook([&](std::uint32_t g, ProcessId slot) {
+    kv[g - 1][slot.value()] =
+        apps::replay_kv(cluster.column(g).to_node(slot).automaton());
   });
 
   issue_op = [&](std::size_t ci) {
@@ -211,7 +234,8 @@ SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
       case OpKind::kRead: {
         ++report.reads;
         ++report.phases[ph].reads;
-        (void)replicas[c.home.value()].get(key);
+        const auto [g, local] = cluster.route(key, c.home);
+        (void)kv[g - 1][local.value()].get(key);
         ++report.completed;
         ++report.phases[ph].completed;
         if (sc.closed_loop) schedule_next(ci);
@@ -220,7 +244,10 @@ SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
       case OpKind::kScan: {
         ++report.scans;
         ++report.phases[ph].scans;
-        const auto& data = replicas[c.home.value()].data();
+        // Scans read the contact replica of the key's home column; keys
+        // of sibling shards are out of partition by design.
+        const auto [g, local] = cluster.route(key, c.home);
+        const auto& data = kv[g - 1][local.value()].data();
         auto it = data.lower_bound(key);
         for (std::size_t k = 0; k < op.scan_len && it != data.end();
              ++k, ++it) {
@@ -244,8 +271,9 @@ SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
             schedule_next(ci);
           });
         }
-        cluster.bcast(c.home, AppMsg{uid, c.home, "put " + key + " " +
-                                                      op.value});
+        const auto [g, local] = cluster.route(key, c.home);
+        cluster.column(g).bcast(
+            local, AppMsg{uid, local, "put " + key + " " + op.value});
         break;
       }
     }
@@ -276,12 +304,18 @@ SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
   }
 
   // ----- availability sampling and mid-run invariant checks ------------------
+  // "Available" = every column has a primary-capable member (the pool
+  // serves its whole keyspace).
   for (sim::Time t = sc.warmup; t < sc.horizon; t += sc.sample_period) {
     sim.schedule_at(t, [&, t] {
       const std::size_t ph = phase_index(t);
       ++report.samples;
       ++report.phases[ph].samples;
-      if (cluster.primary_fraction() > 0.0) {
+      bool available = true;
+      for (std::uint32_t k = 1; k <= columns; ++k) {
+        if (cluster.column(k).primary_fraction() <= 0.0) available = false;
+      }
+      if (available) {
         ++report.available_samples;
         ++report.phases[ph].available_samples;
       }
@@ -292,7 +326,7 @@ SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
   const sim::Time check_period =
       std::max(kInvariantCheckPeriod, sc.horizon / 200);
   for (sim::Time t = check_period; t < sc.horizon; t += check_period) {
-    sim.schedule_at(t, [&cluster] { (void)cluster.oracle().check_invariants(); });
+    sim.schedule_at(t, [&cluster] { (void)cluster.check_invariants(); });
   }
 
   // ----- run -----------------------------------------------------------------
@@ -302,22 +336,27 @@ SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
   // Recovery epilogue, as in the chaos harness: heal, resume everyone, let
   // the stack converge, and keep the oracle watching the repair traffic.
   cluster.net().heal();
-  for (ProcessId p : cluster.universe()) cluster.net().resume(p);
+  for (ProcessId p : cluster.pool()) cluster.net().resume(p);
   cluster.run_for(sc.settle);
   // A churny plan can leave the last rejoin's view change mid-flight at the
   // settle deadline; give the membership layer bounded extra rounds to
   // quiesce (a genuinely wedged stack still fails the span check below).
-  for (int round = 0;
-       round < 8 &&
-       obs::check_span_invariants(cluster.trace()).open_view_change > 0;
-       ++round) {
+  auto open_view_changes = [&] {
+    std::size_t open = 0;
+    for (std::uint32_t k = 1; k <= columns; ++k) {
+      open += obs::check_span_invariants(cluster.column(k).trace())
+                  .open_view_change;
+    }
+    return open;
+  };
+  for (int round = 0; round < 8 && open_view_changes() > 0; ++round) {
     cluster.run_for(sc.settle);
   }
-  (void)cluster.oracle().check_invariants();
+  (void)cluster.check_invariants();
 
-  if (!cluster.oracle().ok()) {
-    throw ScenarioFailure(seed,
-                          failure_message(seed, sc, plan, cluster.oracle()));
+  if (const std::optional<std::string> violation = cluster.violation()) {
+    throw ScenarioFailure(seed, failure_message(seed, sc, plan, *violation,
+                                                cluster.trace_tail()));
   }
 
   // ----- report assembly -----------------------------------------------------
@@ -328,20 +367,24 @@ SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
   }
   report.fault_events = plan.events.size();
   report.restarts = cluster.restarts();
-  for (ProcessId p : cluster.universe()) {
-    report.views_installed += cluster.vs_node(p).stats().views_installed;
-  }
   bool converged = true;
-  for (std::size_t i = 1; i < sc.n; ++i) {
-    if (replicas[i].digest() != replicas[0].digest()) converged = false;
+  std::size_t span_violations = 0;
+  for (std::uint32_t k = 1; k <= columns; ++k) {
+    tosys::Cluster& column = cluster.column(k);
+    for (ProcessId local : column.universe()) {
+      report.views_installed += column.vs_node(local).stats().views_installed;
+    }
+    for (std::size_t i = 1; i < kv[k - 1].size(); ++i) {
+      if (kv[k - 1][i].digest() != kv[k - 1][0].digest()) converged = false;
+    }
+    const obs::SpanInvariantReport spans =
+        obs::check_span_invariants(column.trace());
+    obs::publish_span_invariants(spans, column.metrics());
+    span_violations += spans.open_view_change + spans.non_nested_delivery +
+                       spans.overlapping_registration;
   }
   report.converged_seeds = converged ? 1 : 0;
-
-  const obs::SpanInvariantReport spans =
-      obs::check_span_invariants(cluster.trace());
-  obs::publish_span_invariants(spans, cluster.metrics());
-  report.span_violations = spans.open_view_change + spans.non_nested_delivery +
-                           spans.overlapping_registration;
+  report.span_violations = span_violations;
 
   SeedOutcome out;
   out.slo = std::move(report);
@@ -352,51 +395,28 @@ SeedOutcome run_scenario_seed(const Scenario& sc, std::uint64_t seed) {
 ScenarioSweepResult run_scenario(const Scenario& sc, std::size_t jobs) {
   sc.validate();
   const std::size_t count = sc.seeds;
-  if (jobs == 0) {
-    jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  jobs = std::min(jobs, count);
+  parallel::ThreadPool pool(
+      std::max<std::size_t>(1, std::min(parallel::resolve_jobs(jobs), count)));
+  auto fan = pool.fan_seeds(sc.seed, count, [&sc](std::uint64_t seed) {
+    return run_scenario_seed(sc, seed);
+  });
 
-  // One slot per seed, indexed by seed offset — never by worker — so the
-  // merge below is independent of scheduling (the SeedSweep contract).
-  std::vector<std::optional<SeedOutcome>> outcomes(count);
-  std::vector<std::string> errors(count);
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= count) return;
-      try {
-        outcomes[i] = run_scenario_seed(sc, sc.seed + i);
-      } catch (const std::exception& e) {
-        errors[i] = e.what();
-        if (errors[i].empty()) errors[i] = "unknown failure";
-      }
-    }
-  };
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t j = 0; j < jobs; ++j) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
+  // Merge in seed order (the SeedSweep contract): byte-identical for any
+  // jobs value.
   ScenarioSweepResult result;
   result.slo = skeleton_report(sc);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (outcomes[i].has_value()) {
-      result.slo += outcomes[i]->slo;
-      result.metrics += outcomes[i]->metrics;
-      ++result.seeds_run;
-    } else {
-      if (result.first_failure.empty()) {
-        result.first_failing_seed = sc.seed + i;
-        result.first_failure = errors[i];
-      }
-      ++result.seeds_failed;
-    }
+  for (const std::optional<SeedOutcome>& outcome : fan.results) {
+    if (!outcome.has_value()) continue;
+    result.slo += outcome->slo;
+    result.metrics += outcome->metrics;
+    ++result.seeds_run;
+  }
+  result.seeds_failed = fan.failed;
+  if (fan.first_failure.has_value()) {
+    result.first_failing_seed = fan.first_failure->seed;
+    result.first_failure = fan.first_failure->message.empty()
+                               ? "unknown failure"
+                               : fan.first_failure->message;
   }
   return result;
 }

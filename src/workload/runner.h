@@ -1,6 +1,9 @@
-// Scenario execution: drives the full distributed stack (tosys::Cluster +
-// replicated KV state machines) with the scenario's client swarm, topology
-// and compiled fault plan, and measures the SLO report.
+// Scenario execution: drives the full distributed stack (a shard::Deployment
+// — one plain tosys::Cluster, or K shard columns when the scenario says
+// `shards` — plus replicated KV state machines) with the scenario's client
+// swarm, topology and compiled fault plan, and measures the SLO report.
+// One runner body serves both deployments; at shards=1 / replication=0 the
+// report is byte-identical to the plain cluster's (the K=1 equivalence).
 //
 // One seed = one self-contained simulated run with the conformance oracle
 // and span tracer always on: an oracle violation aborts the seed with a

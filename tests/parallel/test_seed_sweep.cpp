@@ -7,6 +7,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "common/types.h"
 #include "common/view.h"
@@ -116,6 +119,37 @@ TEST(SeedSweepTest, LowestFailingSeedIsThreadCountIndependent) {
   }
   EXPECT_THROW((void)task(one.first_failure->seed),
                explorer::ExplorationFailure);
+}
+
+// The one seed fan every sweep uses: a seed that throws — std::exception
+// or anything else — is that seed's failure, never the process's, and the
+// lowest failing seed and its message do not depend on the pool size.
+TEST(ThreadPoolTest, FanSeedsReportsLowestThrowingSeedAtAnyPoolSize) {
+  const auto task = [](std::uint64_t seed) -> std::uint64_t {
+    if (seed == 9) throw 42;  // not a std::exception
+    if (seed % 4 == 3) {
+      throw std::runtime_error("seed " + std::to_string(seed) + " refused");
+    }
+    return seed * seed;
+  };
+  const auto fan = [&task](std::size_t jobs) {
+    ThreadPool pool(jobs);
+    return pool.fan_seeds(2, 20, task);
+  };
+  const SeedFan<std::uint64_t> one = fan(1);
+  const SeedFan<std::uint64_t> four = fan(4);
+
+  ASSERT_TRUE(one.first_failure.has_value());
+  EXPECT_EQ(one.first_failure->seed, 3u);
+  EXPECT_EQ(one.first_failure->message, "seed 3 refused");
+  EXPECT_EQ(one.failed, 6u);  // 3, 7, 11, 15, 19 and 9
+  ASSERT_TRUE(four.first_failure.has_value());
+  EXPECT_EQ(four.first_failure->seed, one.first_failure->seed);
+  EXPECT_EQ(four.first_failure->message, one.first_failure->message);
+  EXPECT_EQ(four.failed, one.failed);
+  EXPECT_EQ(four.results, one.results);
+  EXPECT_FALSE(one.results[9 - 2].has_value());
+  EXPECT_EQ(one.results[0], std::optional<std::uint64_t>(4));
 }
 
 TEST(ThreadPoolTest, RunsAllSubmittedTasksAcrossWaves) {

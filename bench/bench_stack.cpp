@@ -492,11 +492,12 @@ void BM_ShardMigration(benchmark::State& state) {
   // Migration cost vs column state size (experiment E24): a K=4 r=2
   // dynamic pool of 4, shard g3 pre-loaded with S committed commands, then
   // its co-host (process 3, also on g4) drops off the network. The timed
-  // region spans suspicion, the pool view change and BOTH state-transfer
-  // episodes — journal snapshot, chunked 0x48 transfer, replay and cutover
-  // — until the cluster reports the two slots migrated. The preload and
-  // teardown run outside the timer, so the axis isolates how episode cost
-  // grows with the transferred journal prefix.
+  // region spans suspicion, the pool view change and BOTH migration
+  // episodes — snapshot encode, chunking and reassembly (in-process: the
+  // simulator's port hands frames over inline, no wire), staged install,
+  // replay and cutover — until the cluster reports the two slots migrated.
+  // The preload and teardown run outside the timer, so the axis isolates
+  // how episode cost grows with the transferred journal prefix.
   const auto preload = static_cast<std::uint64_t>(state.range(0));
   constexpr std::size_t kPool = 4;
   constexpr sim::Time kTick = 20 * kMillisecond;

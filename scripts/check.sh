@@ -202,8 +202,10 @@ echo "== reprovision gate (ASan) =="
 # laws, the router pool-view regression, the stable-pool byte-inertness
 # differential (seed count shrunk here; the full 200-seed sweep is the
 # plain-build ctest registration above), migration safety under a killed
-# replica, and the crash-point sweep over every state-transfer persistence
-# barrier. ASan watches snapshot chunking, reassembly and column cutover.
+# replica, and the crash-point sweeps over every barrier of a migration
+# episode (the simulator's, and a dvsd-style joiner's over late, duplicated
+# and reordered 0x48 frames). ASan watches snapshot chunking, reassembly and
+# column cutover.
 DVS_REPROVISION_SEEDS=25 ctest --test-dir build-asan -L reprovision --output-on-failure
 # Migration differential determinism under TSan: the sweep's worker pool
 # must keep per-seed ShardClusters fully private, and the stable-pool
@@ -215,6 +217,9 @@ DVS_REPROVISION_SEEDS=10 ./build-tsan/tests/reprovision_test \
 # byte-identical at any worker count.
 ./build/examples/model_checker --scenario scenarios/reprovision-churn.scn --jobs 4 | tee /tmp/scn_reprov_j4.json >/dev/null
 ./build/examples/model_checker --scenario scenarios/reprovision-churn.scn --jobs 1 | cmp - /tmp/scn_reprov_j4.json
+# The simulator's episodes run the snapshot codec and assembler too: ASan
+# watches them under churn, and the report must not depend on the build type.
+./build-asan/examples/model_checker --scenario scenarios/reprovision-churn.scn --jobs 2 | cmp - /tmp/scn_reprov_j4.json
 # Real-cluster migration demo: a 4-node K=4 r=2 dynamic pool, one host
 # SIGKILLed, its column slots re-provisioned onto survivors with state
 # transfer, workload against the refreshed map, per-group audit PASS.

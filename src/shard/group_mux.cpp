@@ -62,15 +62,15 @@ void GroupMux::dispatch(ProcessId pool_to, ProcessId pool_from,
   // frame tag (0x47) and the vsys/batch tag ranges, and a joiner must be
   // reachable before any port for the migrating group exists on this node.
   if (looks_like_transfer_frame(payload)) {
-    auto it = transfer_handlers_.find(pool_to);
-    if (it == transfer_handlers_.end()) {
-      ++unroutable_;
-      return;
-    }
     TransferFrame frame;
     try {
       frame = decode_transfer(payload);
     } catch (const DecodeError&) {
+      ++transfer_rejects_;
+      return;
+    }
+    auto it = transfer_handlers_.find(pool_to);
+    if (it == transfer_handlers_.end()) {
       ++unroutable_;
       return;
     }

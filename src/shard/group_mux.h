@@ -55,8 +55,8 @@ class GroupMux {
   /// State-transfer frames (shard/reprovision.h, tag 0x48) ride the same
   /// socket but OUTSIDE the group framing — a joiner needs them before its
   /// column (and hence its port) exists. The per-destination handler
-  /// receives the decoded frame; malformed transfer datagrams are dropped
-  /// and counted as unroutable.
+  /// receives the decoded frame; undecodable transfer datagrams are dropped
+  /// and counted as transfer rejects (never as unroutable).
   using TransferHandler =
       std::function<void(ProcessId from, const TransferFrame&)>;
   void set_transfer_handler(ProcessId pool_p, TransferHandler handler);
@@ -67,6 +67,10 @@ class GroupMux {
   /// Datagrams whose group frame named a group with no open port (or no
   /// handler attached for the destination) — dropped, counted.
   [[nodiscard]] std::uint64_t unroutable() const { return unroutable_; }
+  /// 0x48-tagged datagrams that failed to decode — dropped, counted.
+  [[nodiscard]] std::uint64_t transfer_rejects() const {
+    return transfer_rejects_;
+  }
 
  private:
   friend class Port;
@@ -86,6 +90,7 @@ class GroupMux {
   std::map<ProcessId, TransferHandler> transfer_handlers_;
   ProcessSet attached_;
   std::uint64_t unroutable_ = 0;
+  std::uint64_t transfer_rejects_ = 0;
 };
 
 /// One group's Transport view. Lives inside the mux; see GroupMux::open.
@@ -108,9 +113,6 @@ class GroupMux::Port : public net::Transport {
   /// (keyed by this node's pool id) is untouched.
   void remap(ProcessId local, ProcessId pool) {
     pool_.at(local.value()) = pool;
-  }
-  [[nodiscard]] const std::vector<ProcessId>& pool_map() const {
-    return pool_;
   }
 
   void attach(ProcessId local, Handler handler) override;

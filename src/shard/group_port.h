@@ -96,11 +96,6 @@ class GroupPort : public net::Transport {
     slot = pool;
   }
 
-  /// The current local→pool slot map (index = local id).
-  [[nodiscard]] const std::vector<ProcessId>& pool_map() const {
-    return pool_;
-  }
-
  private:
   net::SimNetwork& net_;
   std::uint32_t group_;

@@ -1,32 +1,16 @@
-// Dynamic shard re-provisioning: pool-view-driven column migration.
+// Dynamic shard re-provisioning: the pure parts of pool-view-driven column
+// migration (the episode itself is shard/migration.h).
 //
-// PR 9 froze the shard→replica map at configuration time, so a pool view
-// change stranded every column hosted on a departed process. This module
-// makes provisioning follow the *live* pool view: on every pool NEWVIEW the
-// installed map is diffed against the pure round-robin assignment recomputed
-// from the surviving members (provision.h), and each slot whose host
-// departed is migrated onto a joiner by shipping the slot's durable
-// journals — the exact bytes Cluster journals per layer (VS epoch floor,
-// DVS att/reg knowledge, TO content/order/cursors) — and crash-restarting
-// the slot on the new host.
-//
-// The diff is *slot-stable and minimal*: surviving replicas keep their
-// slots (local ProcessIds, journal keys, trace identities) untouched, and
-// only departed slots move. The joiner for each departed slot is chosen
-// deterministically from the recomputed round-robin target, so every node
-// that agrees on the pool view agrees on the whole migration plan without
-// coordination (the Derecho discipline, extended with the reconfiguration
-// state transfer of Alchieri et al. and the sequencer-driven handoff of
-// vertical atomic broadcast).
-//
-// Cutover atomicity: a migration episode stages the copied journals under
-// scratch keys, commits a meta marker, and only then installs them at the
-// joiner's live keys and restarts the column node. A crash before the meta
-// marker rolls back (the staging bytes are ignored and the move is
-// re-planned from the next pool view); a crash after it rolls forward (the
-// install is idempotent). The oracle hears the move as CRASH (the departed
-// incarnation) followed by HANDOFF(next) (the joiner adopting the
-// survivors' delivered prefix) — see spec::EvHandoff.
+// On every pool NEWVIEW the installed shard map is diffed against the
+// round-robin assignment recomputed from the surviving members
+// (provision.h). The diff is *slot-stable and minimal*: surviving replicas
+// keep their slots (local ProcessIds, journal keys, trace identities), and
+// only departed slots move, each onto a joiner chosen deterministically from
+// the recomputed target — so every node that agrees on the pool view agrees
+// on the whole plan without coordination (the Derecho discipline, extended
+// with the reconfiguration state transfer of Alchieri et al.). A moved slot
+// carries its durable journals — the VS epoch floor, DVS att/reg knowledge
+// and TO content/order/cursors — as a chunked snapshot over 0x48 frames.
 #pragma once
 
 #include <cstdint>
@@ -168,7 +152,7 @@ struct SlotSnapshot {
 /// nullopt-style via the bool. Frames older than the episode in progress
 /// are dropped; a frame from a NEWER episode discards the partial assembly
 /// and starts over — so an assembly only ever mixes chunks of a single
-/// donor answer. Used by the daemon's transfer client.
+/// donor answer.
 class SnapshotAssembler {
  public:
   /// Returns true when the snapshot just became complete.
@@ -193,20 +177,15 @@ class SnapshotAssembler {
 };
 
 /// Staging namespace of a migration episode inside a column's store: the
-/// snapshot is staged here and the commit marker lives at leaf "meta". A
-/// nonempty marker flips the episode from roll-back (staged bytes are
-/// scratch, the move re-plans from the next pool view) to roll-forward
-/// (the install is idempotent and recovery re-runs it). Shared by the
-/// simulated ShardCluster and the real-transport daemon so both sides run
-/// the same cutover-atomicity discipline.
+/// snapshot is staged at leaves vs/dvs/to and the commit marker is "meta".
 [[nodiscard]] std::string transfer_stage_key(ProcessId slot,
                                              const char* leaf);
 
 // ----- crash-point injection -------------------------------------------------
 
-/// Thrown by a migration episode when a test-installed crash hook fires at
-/// one of the episode's persistence barriers; the harness then simulates a
-/// process crash and drives recovery (ShardCluster::recover_migrations).
+/// Thrown by a test-installed crash hook at one of a migration episode's
+/// barriers; the harness then simulates a process crash and drives
+/// recovery (MigrationEngine::recover).
 struct MigrationCrash : std::runtime_error {
   explicit MigrationCrash(std::size_t barrier)
       : std::runtime_error("migration crash injected at barrier " +

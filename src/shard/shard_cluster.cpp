@@ -14,19 +14,6 @@ constexpr std::uint64_t kPoolRngSalt = 0x706f6f6c00005eedULL;
 /// seed (the unsharded network's), shard k gets seed ^ ((k-1) * stride).
 constexpr std::uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ULL;
 
-/// Episode staging keys (see shard::transfer_stage_key): the snapshot is
-/// staged here, the commit marker lives at leaf "meta", and the installed
-/// journals (tosys::ProcessStack::storage_key) are only touched after the
-/// marker commits.
-std::string xfer_key(ProcessId slot, const char* leaf) {
-  return transfer_stage_key(slot, leaf);
-}
-
-Bytes load_or_empty(storage::StableStore& store, const std::string& key) {
-  std::optional<Bytes> v = store.load(key);
-  return v.has_value() ? std::move(*v) : Bytes{};
-}
-
 }  // namespace
 
 ShardCluster::ShardCluster(ShardClusterConfig config, std::uint64_t seed)
@@ -48,26 +35,24 @@ ShardCluster::ShardCluster(ShardClusterConfig config, std::uint64_t seed)
         "ShardCluster: dynamic re-provisioning requires persistence "
         "(journals are the transferable state)");
   }
-  live_pool_ = pool_;
   net_ = std::make_unique<net::SimNetwork>(sim_, pool_rng_, config_.base.net,
                                            pool_);
   if (config_.base.persistence) {
     pool_store_ = std::make_unique<storage::MemStableStore>();
   }
 
-  assignments_ = provision(pool_, config_.shards, config_.replication);
-  router_.set_assignments(assignments_);
+  engine_ = std::make_unique<MigrationEngine>(
+      static_cast<MigrationPort&>(*this),
+      provision(pool_, config_.shards, config_.replication), std::nullopt);
+  router_.set_assignments(assignments());
   router_.set_pool_view(pool_);
 
   // The top-level VS group: every pool process is a member of pool v0.
-  for (ProcessId p : pool_) {
-    pool_views_.emplace(p, pool_v0_);
-    build_pool_node(p, /*initial=*/true);
-  }
+  for (ProcessId p : pool_) build_pool_node(p, /*initial=*/true);
 
   // One full protocol column per shard, over its own group channel.
-  shards_.reserve(assignments_.size());
-  for (const ShardAssignment& a : assignments_) {
+  shards_.reserve(assignments().size());
+  for (const ShardAssignment& a : assignments()) {
     Shard s;
     const std::uint64_t channel_seed =
         seed ^ (static_cast<std::uint64_t>(a.group - 1) * kShardSeedStride);
@@ -97,9 +82,9 @@ ShardCluster::ShardCluster(ShardClusterConfig config, std::uint64_t seed)
       pool_metrics_.gauge("pool.processes").set(
           static_cast<std::int64_t>(pool_.size()));
       pool_metrics_.counter("pool.restarts").set(restarts_);
-      pool_metrics_.counter("pool.migrations").set(migrations_);
-      pool_metrics_.counter("pool.migration_stalls").set(stalls_);
-      pool_metrics_.counter("pool.migration_lost").set(lost_);
+      pool_metrics_.counter("pool.migrations").set(engine_->migrations());
+      pool_metrics_.counter("pool.migration_stalls").set(engine_->stalls());
+      pool_metrics_.counter("pool.migration_lost").set(engine_->lost());
       pool_metrics_.counter("pool.router_re_resolutions")
           .set(router_.re_resolutions());
       std::uint64_t views = 0;
@@ -117,16 +102,12 @@ std::string ShardCluster::pool_storage_key(ProcessId p) {
 
 void ShardCluster::build_pool_node(ProcessId p, bool initial) {
   vsys::VsCallbacks cb;
-  cb.on_newview = [this, p](const View& v) {
-    pool_views_[p] = v;
+  cb.on_newview = [this](const View& v) {
     // Any member's pool view change re-resolves routing; contact resolution
     // uses the live membership. Keys never migrate (shard count is fixed);
     // with dynamic provisioning the *replicas* hosting a column do.
     router_.set_pool_view(v.set());
-    if (config_.dynamic) {
-      live_pool_ = v.set();
-      maybe_reprovision();
-    }
+    if (config_.dynamic) engine_->on_pool_view(v.set());
   };
   pool_vs_[p] = std::make_unique<vsys::VsNode>(
       p, initial ? std::optional<View>{pool_v0_} : std::nullopt, *net_, sim_,
@@ -167,120 +148,26 @@ void ShardCluster::restart(ProcessId pool_p) {
   pool_vs_.at(pool_p)->start();
   // Then every shard column hosting this process restarts its local
   // replica from that column's own journals.
-  for (const ShardAssignment& a : assignments_) {
+  for (const ShardAssignment& a : assignments()) {
     if (!hosts(a.group, pool_p)) continue;
     shards_[a.group - 1].cluster->restart(local_id(a.group, pool_p));
   }
 }
 
-void ShardCluster::maybe_reprovision() {
-  if (migrating_) return;  // a cutover's own events must not re-plan mid-move
-  migrating_ = true;
-  const ReprovisionPlan plan = plan_reprovision(assignments_, live_pool_);
-  // Stall/loss observations accumulate per planning round: a shortage that
-  // persists across views is counted each time it blocks a refill.
-  stalls_ += plan.stalled;
-  lost_ += plan.lost;
-  for (const GroupMigration& gm : plan.migrations) {
-    for (const SlotMove& m : gm.moves) {
-      migrate_slot(gm.group, gm.source_slot, m);
-    }
-  }
-  migrating_ = false;
-}
-
-void ShardCluster::migration_barrier() {
-  const std::size_t i = migration_barriers_++;
-  if (migration_crash_hook_) migration_crash_hook_(i);
-}
-
-void ShardCluster::migrate_slot(std::uint32_t group, ProcessId source_slot,
-                                const SlotMove& m) {
-  Shard& s = shards_[group - 1];
-  storage::StableStore* store = s.cluster->store();
-  // Snapshot the donor's journals. In-process the "transfer" is a staging
-  // copy inside the column's store (the simulated pool shares one address
-  // space); the real-transport daemon ships the same bytes as 0x48 frames.
-  migration_barrier();
-  SlotSnapshot snap;
-  using tosys::ProcessStack;
-  snap.vs = load_or_empty(*store, ProcessStack::storage_key(source_slot, "vs"));
-  snap.dvs =
-      load_or_empty(*store, ProcessStack::storage_key(source_slot, "dvs"));
-  snap.to = load_or_empty(*store, ProcessStack::storage_key(source_slot, "to"));
-  migration_barrier();
-  store->replace(xfer_key(m.slot, "vs"), snap.vs);
-  migration_barrier();
-  store->replace(xfer_key(m.slot, "dvs"), snap.dvs);
-  migration_barrier();
-  store->replace(xfer_key(m.slot, "to"), snap.to);
-  // Commit point: a nonempty meta marker flips the episode from roll-back
-  // (staging is scratch, the move re-plans from the next view) to
-  // roll-forward (install_slot is idempotent and recovery re-runs it).
-  Writer w;
-  w.process_id(m.to);
-  migration_barrier();
-  store->replace(xfer_key(m.slot, "meta"), w.take());
-  install_slot(group, m.slot, m.to);
-}
-
-void ShardCluster::install_slot(std::uint32_t group, ProcessId slot,
-                                ProcessId to_pool) {
-  Shard& s = shards_[group - 1];
-  storage::StableStore* store = s.cluster->store();
-  using tosys::ProcessStack;
-  migration_barrier();
-  store->replace(ProcessStack::storage_key(slot, "vs"),
-                 load_or_empty(*store, xfer_key(slot, "vs")));
-  migration_barrier();
-  store->replace(ProcessStack::storage_key(slot, "dvs"),
-                 load_or_empty(*store, xfer_key(slot, "dvs")));
-  migration_barrier();
-  store->replace(ProcessStack::storage_key(slot, "to"),
-                 load_or_empty(*store, xfer_key(slot, "to")));
+void ShardCluster::install_column(std::uint32_t group, ProcessId slot,
+                                  ProcessId to, std::uint64_t next) {
   // Volatile cutover, synchronous within the current simulator event so no
-  // message can observe a half-moved slot: detach the departed process from
-  // the group channel, re-point the slot, and crash-restart the column
-  // replica from the journals just installed. The restart records CRASH;
-  // HANDOFF then tells the oracle the new incarnation adopted the donor's
-  // delivery cursor (spec::EvHandoff — re-delivery is legal, invention is
-  // not).
-  migration_barrier();
-  s.port->remap(slot, to_pool);
+  // message can observe a half-moved slot: re-point the slot on the shared
+  // group channel and crash-restart the column replica from the journals
+  // just installed. The restart records CRASH; HANDOFF then tells the
+  // oracle the new incarnation adopted the donor's delivery cursor
+  // (spec::EvHandoff — re-delivery is legal, invention is not).
+  Shard& s = shards_[group - 1];
+  s.port->remap(slot, to);
   s.cluster->restart(slot);
-  s.cluster->record_handoff(
-      slot, s.cluster->to_node(slot).automaton().nextreport());
-  assignments_[group - 1].replicas[slot.value()] = to_pool;
-  router_.set_assignments(assignments_);
-  ++migrations_;
+  s.cluster->record_handoff(slot, next);
+  router_.set_assignments(assignments());
   if (handoff_hook_) handoff_hook_(group, slot);
-  // Clearing the marker is LAST: a crash anywhere above re-runs the install.
-  migration_barrier();
-  store->replace(xfer_key(slot, "meta"), Bytes{});
-}
-
-void ShardCluster::recover_migrations() {
-  migrating_ = false;  // a crash mid-episode left the guard set
-  // Roll forward every episode whose commit marker is present (the staged
-  // journals are complete by construction of the marker order)...
-  for (std::size_t k = 1; k <= shards_.size(); ++k) {
-    Shard& s = shards_[k - 1];
-    storage::StableStore* store = s.cluster->store();
-    const std::size_t r = assignments_[k - 1].replicas.size();
-    for (std::size_t i = 0; i < r; ++i) {
-      const ProcessId slot(static_cast<std::uint32_t>(i));
-      const std::optional<Bytes> meta = store->load(xfer_key(slot, "meta"));
-      if (!meta.has_value() || meta->empty()) continue;
-      Reader rd(*meta);
-      const ProcessId to = rd.process_id();
-      rd.expect_exhausted();
-      install_slot(static_cast<std::uint32_t>(k), slot, to);
-    }
-  }
-  // ...then re-plan from the live view: rolled-back moves are simply
-  // replayed as fresh episodes. Callers clear the crash hook first or the
-  // sweep would crash the recovery too.
-  maybe_reprovision();
 }
 
 bool ShardCluster::oracle_ok() const {

@@ -43,6 +43,7 @@
 #include "net/sim_network.h"
 #include "obs/metrics.h"
 #include "shard/group_port.h"
+#include "shard/migration.h"
 #include "shard/provision.h"
 #include "shard/reprovision.h"
 #include "shard/router.h"
@@ -76,7 +77,7 @@ struct ShardClusterConfig {
   tosys::ClusterConfig base;
 };
 
-class ShardCluster {
+class ShardCluster : private MigrationPort {
  public:
   ShardCluster(ShardClusterConfig config, std::uint64_t seed);
 
@@ -91,7 +92,7 @@ class ShardCluster {
   [[nodiscard]] const ProcessSet& pool() const { return pool_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] const std::vector<ShardAssignment>& assignments() const {
-    return assignments_;
+    return engine_->assignments();
   }
 
   /// Shard k's full protocol column (k is the 1-based group id).
@@ -102,7 +103,7 @@ class ShardCluster {
     return *shards_.at(k - 1).cluster;
   }
   [[nodiscard]] const ShardAssignment& assignment(std::uint32_t k) const {
-    return assignments_.at(k - 1);
+    return assignments().at(k - 1);
   }
   [[nodiscard]] bool hosts(std::uint32_t k, ProcessId pool_p) const;
   /// Shard-local id of pool_p in shard k (throws unless hosts()).
@@ -135,10 +136,6 @@ class ShardCluster {
   /// min over shards — the pool is "available" when every shard can commit.
   [[nodiscard]] double min_primary_fraction() const;
 
-  /// The latest pool view installed at p (pool v0 before any change).
-  [[nodiscard]] const View& pool_view(ProcessId p) const {
-    return pool_views_.at(p);
-  }
   [[nodiscard]] ShardRouter& router() { return router_; }
 
   // ----- dynamic re-provisioning ---------------------------------------------
@@ -146,20 +143,23 @@ class ShardCluster {
   /// Completed slot migrations / departed slots left unfilled (pool below
   /// replication; retried on later views) / columns with every replica
   /// departed. All zero unless config.dynamic.
-  [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
-  [[nodiscard]] std::uint64_t migration_stalls() const { return stalls_; }
-  [[nodiscard]] std::uint64_t migrations_lost() const { return lost_; }
-
-  /// Crash-point sweep instrumentation: invoked with a run-global ordinal
-  /// before every persistence barrier and the volatile cutover of each
-  /// migration episode; throwing shard::MigrationCrash simulates a crash
-  /// mid-episode. recover_migrations() then rolls every column forward
-  /// (committed meta marker present) or back (absent — the move is simply
-  /// re-planned from the live pool view).
-  void set_migration_crash_hook(std::function<void(std::size_t)> hook) {
-    migration_crash_hook_ = std::move(hook);
+  [[nodiscard]] std::uint64_t migrations() const {
+    return engine_->migrations();
   }
-  void recover_migrations();
+  [[nodiscard]] std::uint64_t migration_stalls() const {
+    return engine_->stalls();
+  }
+  [[nodiscard]] std::uint64_t migrations_lost() const {
+    return engine_->lost();
+  }
+
+  /// Crash-point sweep instrumentation (MigrationEngine::set_crash_hook);
+  /// recover_migrations() then rolls every marked episode forward and
+  /// re-plans the rest from the live pool view.
+  void set_migration_crash_hook(std::function<void(std::size_t)> hook) {
+    engine_->set_crash_hook(std::move(hook));
+  }
+  void recover_migrations() { engine_->recover(); }
 
   /// Invoked after a slot's cutover completes (journals installed, column
   /// replica restarted, HANDOFF recorded) — the workload harness rebuilds
@@ -183,15 +183,18 @@ class ShardCluster {
   [[nodiscard]] static std::string pool_storage_key(ProcessId p);
   void build_pool_node(ProcessId p, bool initial);
 
-  // Dynamic re-provisioning (all no-ops unless config.dynamic).
-  void maybe_reprovision();
-  void migrate_slot(std::uint32_t group, ProcessId source_slot,
-                    const SlotMove& m);
-  /// The roll-forward half of an episode: staged journals → live keys,
-  /// port remap, column restart, HANDOFF record, meta clear. Idempotent —
-  /// recovery re-runs it when the commit marker is present.
-  void install_slot(std::uint32_t group, ProcessId slot, ProcessId to_pool);
-  void migration_barrier();
+  // The in-process MigrationPort: one address space, so a transfer frame is
+  // handled inline, inside the simulator event that sent it — an episode
+  // adds no simulator event and draws no Rng.
+  void send_transfer(ProcessId from, ProcessId to,
+                     const TransferFrame& frame) override {
+    engine_->on_transfer(from, to, frame);
+  }
+  storage::StableStore* column_store(std::uint32_t group, bool) override {
+    return shard(group).store();
+  }
+  void install_column(std::uint32_t group, ProcessId slot, ProcessId to,
+                      std::uint64_t next) override;
 
   ShardClusterConfig config_;
   std::uint64_t seed_;
@@ -202,21 +205,11 @@ class ShardCluster {
   std::unique_ptr<net::SimNetwork> net_;
   std::unique_ptr<storage::MemStableStore> pool_store_;  // persistence only
   std::map<ProcessId, std::unique_ptr<vsys::VsNode>> pool_vs_;
-  std::map<ProcessId, View> pool_views_;
-  std::vector<ShardAssignment> assignments_;
   std::vector<Shard> shards_;  // index k-1
   ShardRouter router_;
   obs::MetricsRegistry pool_metrics_;
   std::uint64_t restarts_ = 0;
-
-  // Dynamic re-provisioning state.
-  ProcessSet live_pool_;  // latest pool view set (= pool_ while stable)
-  bool migrating_ = false;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t stalls_ = 0;
-  std::uint64_t lost_ = 0;
-  std::size_t migration_barriers_ = 0;  // run-global episode barrier ordinal
-  std::function<void(std::size_t)> migration_crash_hook_;
+  std::unique_ptr<MigrationEngine> engine_;  // the map; plays every process
   std::function<void(std::uint32_t, ProcessId)> handoff_hook_;
 };
 

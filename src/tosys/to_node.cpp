@@ -125,8 +125,12 @@ void ToNode::attach_storage(storage::StableStore& store,
 
 toimpl::ToDurableState ToNode::recover(const storage::StableStore& store,
                                        const std::string& key) {
+  return recover(store.load(key).value_or(Bytes{}));
+}
+
+toimpl::ToDurableState ToNode::recover(const Bytes& journal) {
   toimpl::ToDurableState s;
-  for (const storage::WalRecord& rec : storage::read_wal(store, key).records) {
+  for (const storage::WalRecord& rec : storage::read_wal(journal).records) {
     try {
       Reader r(rec.payload);
       switch (rec.type) {

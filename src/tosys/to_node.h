@@ -83,6 +83,9 @@ class ToNode {
   /// prefix is always a valid — possibly older — durable state).
   [[nodiscard]] static toimpl::ToDurableState recover(
       const storage::StableStore& store, const std::string& key);
+  /// The same replay over a journal's raw bytes (a migrating slot's
+  /// snapshot carries them; shard::MigrationEngine reads its cursor here).
+  [[nodiscard]] static toimpl::ToDurableState recover(const Bytes& journal);
 
  private:
   void drain();

@@ -236,10 +236,37 @@ TEST(GroupMux, UnknownGroupAndForeignSenderAreCountedDrops) {
   EXPECT_EQ(deliveries, 0u);
   EXPECT_EQ(mux.unroutable(), 2u);
 
+  // Undecodable 0x48 transfer frames are rejects, not unroutable traffic,
+  // and never reach the transfer handler.
+  std::size_t transfers = 0;
+  mux.set_transfer_handler(
+      ProcessId(1),
+      [&](ProcessId, const shard::TransferFrame&) { ++transfers; });
+  shard::TransferFrame chunk;
+  chunk.kind = shard::TransferKind::kSnapshot;
+  chunk.group = 1;
+  chunk.total = 1;
+  chunk.payload = bytes({1, 2, 3});
+  const Bytes good = shard::encode_transfer(chunk);
+  const Bytes truncated(good.begin(), good.begin() + 4);
+  Bytes flipped = good;
+  flipped[2] ^= std::byte{0x80};  // kind byte: an unknown kind
+  net.send(ProcessId(0), ProcessId(1), truncated);
+  net.send(ProcessId(0), ProcessId(1), flipped);
+  sim.run_until(sim::Time{1500000});
+  EXPECT_EQ(mux.transfer_rejects(), 2u);
+  EXPECT_EQ(mux.unroutable(), 2u);
+  EXPECT_EQ(transfers, 0u);
+  EXPECT_EQ(deliveries, 0u);
+
   // Real traffic still flows.
   p1.send(ProcessId(0), ProcessId(1), bytes({0x01}));
   sim.run_until(sim::Time{2000000});
   EXPECT_EQ(deliveries, 1u);
+  net.send(ProcessId(0), ProcessId(1), good);
+  sim.run_until(sim::Time{2500000});
+  EXPECT_EQ(transfers, 1u);
+  EXPECT_EQ(mux.transfer_rejects(), 2u);
 }
 
 TEST(Router, StableKeyPlacement) {

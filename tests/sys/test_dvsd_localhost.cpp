@@ -329,6 +329,16 @@ class DvsdDynamicTest : public DvsdClusterTest {
     return "";
   }
 
+  /// The value of an unlabelled counter in a `stats` reply (~0 if absent);
+  /// `name` is the exposition name (dots become underscores).
+  [[nodiscard]] static std::uint64_t counter_in(const std::string& stats,
+                                                const std::string& name) {
+    const std::string line = "\n" + name + " ";
+    const std::size_t pos = stats.find(line);
+    if (pos == std::string::npos) return ~0ULL;
+    return std::strtoull(stats.c_str() + pos + line.size(), nullptr, 10);
+  }
+
   [[nodiscard]] std::uint64_t migrations_at(int i) {
     const std::string map = ctl(ctl_port(i), "shardmap");
     const std::size_t pos = map.find("migrations=");
@@ -398,6 +408,13 @@ TEST_F(DvsdDynamicTest, KilledHostsColumnsMigrateWithTheirState) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(migrations_at(i), 2ULL) << "node " << i;
   }
+  // The engine's three migration counters, read from one sharded `stats`
+  // reply, mean what they mean in the simulator: the two moves applied to
+  // this node's map, no slot left unfilled, no column lost.
+  const std::string stats = ctl(ctl_port(2), "stats", 1000);
+  EXPECT_EQ(counter_in(stats, "pool_migrations"), 2ULL) << stats;
+  EXPECT_EQ(counter_in(stats, "pool_migration_stalls"), 0ULL) << stats;
+  EXPECT_EQ(counter_in(stats, "pool_migration_lost"), 0ULL) << stats;
 
   // State transfer proof: the pre-kill values are readable AT THE JOINERS
   // — node 0 never hosted g3 and node 1 never hosted g4, so these can only

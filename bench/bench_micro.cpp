@@ -1,6 +1,6 @@
 // Micro-benchmarks (experiment E13): the primitive operations every layer
 // leans on — wire codec, view-set operations, the event queue, and the TO
-// recovery functions.
+// recovery functions, and the WAL scan every recovery starts with.
 #include <benchmark/benchmark.h>
 
 #include <deque>
@@ -13,6 +13,7 @@
 #include "common/view.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
+#include "storage/wal.h"
 #include "vsys/wire.h"
 
 namespace {
@@ -262,6 +263,25 @@ void BM_ObsSnapshotExport(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ObsSnapshotExport);
+
+void BM_ReadWal(benchmark::State& state) {
+  // read_wal over a log of N TO-sized records (about 40 bytes each). The
+  // scan decodes in place, so the time per record (items/s) stays flat as
+  // the log grows.
+  Bytes log;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    const Bytes f = storage::Wal::frame(2, [i](Writer& w) {
+      w.u64(static_cast<std::uint64_t>(i));
+      w.str("payload-of-a-content-record");
+    });
+    log.insert(log.end(), f.begin(), f.end());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(storage::read_wal(log).records.size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ReadWal)->Arg(2 << 10)->Arg(32 << 10);
 
 }  // namespace
 

@@ -502,6 +502,7 @@ void BM_ShardMigration(benchmark::State& state) {
   constexpr std::size_t kPool = 4;
   constexpr sim::Time kTick = 20 * kMillisecond;
   std::uint64_t seed = 1;
+  std::size_t to_journal_bytes = 0;
   std::optional<shard::ShardCluster> c;
   for (auto _ : state) {
     state.PauseTiming();
@@ -532,6 +533,13 @@ void BM_ShardMigration(benchmark::State& state) {
          ++guard) {
       c->run_for(100 * kMillisecond);
     }
+    // The TO journal a g3 donor ships (its slot-0 key).
+    to_journal_bytes = c->shard(3)
+                           .store()
+                           ->load(tosys::ProcessStack::storage_key(
+                               ProcessId{0}, "to"))
+                           .value_or(Bytes{})
+                           .size();
     state.ResumeTiming();
     c->net().pause(ProcessId{3});
     while (c->migrations() < 2) c->run_for(50 * kMillisecond);
@@ -543,6 +551,7 @@ void BM_ShardMigration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(preload));
   state.counters["preloaded_cmds"] = static_cast<double>(preload);
+  state.counters["to_journal_bytes"] = static_cast<double>(to_journal_bytes);
   state.SetLabel("pool 4 K=4 r=2, " + std::to_string(preload) +
                  " cmds transferred across 2 slot migrations");
 }

@@ -53,10 +53,11 @@ echo "== recovery gate (ASan) =="
 # Crash-restart persistence under ASan: the WAL corruption fuzz (bit flips,
 # truncation at every byte, duplicated records) and the crash-point sweep
 # (a restart injected at every persistence barrier) are exactly where a
-# framing bounds mistake or a teardown use-after-free would hide. The
+# framing bounds mistake or a teardown use-after-free would hide, and so is
+# the in-place WAL scan and size-proportional compaction suite. The
 # assembly-equivalence test drops and rebuilds a ProcessStack both inside
 # tosys::Cluster and as a daemon::NodeRuntime over the same store.
-ctest --test-dir build-asan -R 'WalFormatTest|WalFuzzTest|StableStoreTest|LayerJournalTest|ExchangeJournalTest|CrashPointSweepTest|AssemblyEquivalenceTest' \
+ctest --test-dir build-asan -R 'WalFormatTest|WalFuzzTest|StableStoreTest|LayerJournalTest|ExchangeJournalTest|WalCompactionTest|WalScanTest|CrashPointSweepTest|AssemblyEquivalenceTest' \
   --output-on-failure
 # Chaos conformance smoke with the restart adversary: kCrash upgraded to
 # genuine crash-restart plus scripted kRestart events, oracles online.

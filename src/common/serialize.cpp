@@ -120,7 +120,7 @@ void Writer::msg(const Msg& m) {
 }
 
 void Reader::need(std::size_t n) const {
-  if (pos_ + n > data_.size()) throw DecodeError("truncated input");
+  if (n > data_.size() - pos_) throw DecodeError("truncated input");
 }
 
 std::uint8_t Reader::u8() {

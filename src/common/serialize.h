@@ -9,6 +9,7 @@
 // Decoding is bounds-checked; malformed input throws DecodeError.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -73,10 +74,16 @@ class Writer {
 class Reader {
  public:
   explicit Reader(const Bytes& data) : data_(data) {}
+  /// Decodes `data` in place from byte `offset` on (an offset past the end
+  /// reads as truncated input), so a scan over one large buffer never has
+  /// to copy the part still to be read.
+  Reader(const Bytes& data, std::size_t offset)
+      : data_(data), pos_(std::min(offset, data.size())) {}
   /// Reader holds a reference to the buffer for its whole lifetime; binding
   /// it to a temporary would dangle after the full-expression, so decoding
   /// a temporary buffer must not compile. Name the buffer instead.
   explicit Reader(Bytes&&) = delete;
+  Reader(Bytes&&, std::size_t) = delete;
 
   [[nodiscard]] std::uint8_t u8();
   [[nodiscard]] std::uint32_t u32();
@@ -95,6 +102,13 @@ class Reader {
 
   /// Bytes not yet consumed.
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
+  /// Offset of the next byte to be read, from the start of the buffer.
+  [[nodiscard]] std::size_t position() const { return pos_; }
+  /// Steps over `n` bytes without decoding them.
+  void skip(std::size_t n) {
+    need(n);
+    pos_ += n;
+  }
 
   [[nodiscard]] ProcessId process_id();
   [[nodiscard]] ViewId view_id();

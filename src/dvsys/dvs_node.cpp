@@ -51,7 +51,6 @@ constexpr std::uint8_t kDvsAct = 2;       // act := view
 constexpr std::uint8_t kDvsAmb = 3;       // amb ∪= {view}
 constexpr std::uint8_t kDvsAttempt = 4;   // attempted ∪= {view}
 constexpr std::uint8_t kDvsReg = 5;       // reg ∪= {view id}
-constexpr std::size_t kDvsCompactEvery = 64;
 
 void encode_snapshot(Writer& w, const impl::DvsDurableState& s) {
   w.view(s.act);
@@ -94,19 +93,19 @@ void DvsNode::attach_storage(storage::StableStore& store,
   impl::DvsDurabilityHooks hooks;
   hooks.on_act = [this](const View& v) {
     wal_->append(kDvsAct, [&](Writer& w) { w.view(v); });
-    if (wal_->records_since_snapshot() >= kDvsCompactEvery) snapshot_state();
+    if (wal_->snapshot_due()) snapshot_state();
   };
   hooks.on_amb_add = [this](const View& v) {
     wal_->append(kDvsAmb, [&](Writer& w) { w.view(v); });
-    if (wal_->records_since_snapshot() >= kDvsCompactEvery) snapshot_state();
+    if (wal_->snapshot_due()) snapshot_state();
   };
   hooks.on_attempt = [this](const View& v) {
     wal_->append(kDvsAttempt, [&](Writer& w) { w.view(v); });
-    if (wal_->records_since_snapshot() >= kDvsCompactEvery) snapshot_state();
+    if (wal_->snapshot_due()) snapshot_state();
   };
   hooks.on_register = [this](const ViewId& g) {
     wal_->append(kDvsReg, [&](Writer& w) { w.view_id(g); });
-    if (wal_->records_since_snapshot() >= kDvsCompactEvery) snapshot_state();
+    if (wal_->snapshot_due()) snapshot_state();
   };
   automaton_.set_durability_hooks(std::move(hooks));
 }

@@ -14,7 +14,6 @@ constexpr std::uint8_t kExSnapshot = 1;   // full ExchangeDurableState
 constexpr std::uint8_t kExPeer = 2;       // peer_blobs[p][view] := blob
 constexpr std::uint8_t kExSent = 3;       // last_sent := record
 constexpr std::uint8_t kExConfirmed = 4;  // confirmed := record
-constexpr std::size_t kExCompactEvery = 32;
 
 void encode_sent(Writer& w, const ExchangeDurableState::SentRecord& s) {
   w.view_id(s.view);
@@ -259,7 +258,7 @@ void ExchangeDvsNode::snapshot_state() {
 }
 
 void ExchangeDvsNode::maybe_compact() {
-  if (wal_->records_since_snapshot() >= kExCompactEvery) snapshot_state();
+  if (wal_->snapshot_due()) snapshot_state();
 }
 
 void ExchangeDvsNode::attach_storage(storage::StableStore& store,

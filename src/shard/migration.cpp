@@ -147,7 +147,7 @@ void MigrationEngine::serve(ProcessId from, ProcessId to,
   snap.dvs = load_or_empty(*store, ProcessStack::storage_key(slot, "dvs"));
   snap.to = load_or_empty(*store, ProcessStack::storage_key(slot, "to"));
   // TO journals every cursor advance synchronously.
-  snap.next = tosys::ToNode::recover(snap.to).nextreport;
+  snap.next = tosys::ToNode::recover_cursor(snap.to);
   for (const TransferFrame& chunk :
        chunk_snapshot(req.group, req.slot, req.episode, encode_snapshot(snap),
                       kTransferChunk)) {

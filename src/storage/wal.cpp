@@ -1,5 +1,6 @@
 #include "storage/wal.h"
 
+#include <algorithm>
 #include <array>
 
 namespace dvs::storage {
@@ -34,38 +35,53 @@ std::uint32_t crc32(const Bytes& data) { return crc32(data.data(), data.size());
 
 Bytes Wal::frame(std::uint8_t type,
                  const std::function<void(Writer&)>& encode) {
-  Writer payload;
-  encode(payload);
+  // The payload is encoded once, straight into the record, behind a
+  // one-byte length placeholder; a length that needs more varuint bytes
+  // opens up in place (payloads of 128 bytes or more).
   Writer record;
   record.u8(kWalMagic);
   record.u8(type);
-  record.bytes_field(payload.buffer());
-  const std::uint32_t crc = crc32(record.buffer());
-  record.u32(crc);
-  return record.take();
+  record.u8(0);
+  encode(record);
+  Bytes out = record.take();
+  Writer length;
+  length.varuint(out.size() - 3);
+  const Bytes& field = length.buffer();
+  out.insert(out.begin() + 3, field.size() - 1, std::byte{0});
+  std::copy(field.begin(), field.end(), out.begin() + 2);
+  const std::uint32_t crc = crc32(out);
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::byte>(crc >> (8 * i)));
+  }
+  return out;
 }
 
 void Wal::append(std::uint8_t type,
                  const std::function<void(Writer&)>& encode) {
-  store_.append(key_, frame(type, encode));
+  const Bytes record = frame(type, encode);
+  store_.append(key_, record);
   ++records_since_snapshot_;
+  bytes_since_snapshot_ += record.size();
 }
 
 void Wal::snapshot(std::uint8_t type,
                    const std::function<void(Writer&)>& encode) {
-  store_.replace(key_, frame(type, encode));
+  const Bytes record = frame(type, encode);
+  store_.replace(key_, record);
   records_since_snapshot_ = 0;
+  bytes_since_snapshot_ = 0;
+  snapshot_bytes_ = record.size();
 }
 
 WalContents read_wal(const Bytes& log) {
   WalContents out;
   std::size_t offset = 0;
   while (offset < log.size()) {
-    // Decode one record from log[offset..]; any framing failure (bad magic,
-    // truncation mid-record, CRC mismatch) ends the clean prefix.
-    Bytes tail(log.begin() + static_cast<std::ptrdiff_t>(offset), log.end());
+    // Decode one record in place from log[offset..]; any framing failure
+    // (bad magic, truncation mid-record, CRC mismatch) ends the clean
+    // prefix.
     try {
-      Reader r(tail);
+      Reader r(log, offset);
       const std::uint8_t magic = r.u8();
       if (magic != kWalMagic) {
         out.corrupt_tail = true;
@@ -74,8 +90,8 @@ WalContents read_wal(const Bytes& log) {
       WalRecord rec;
       rec.type = r.u8();
       rec.payload = r.bytes_field();
-      const std::size_t covered = tail.size() - r.remaining();
-      const std::uint32_t want = crc32(tail.data(), covered);
+      const std::size_t covered = r.position() - offset;
+      const std::uint32_t want = crc32(log.data() + offset, covered);
       const std::uint32_t got = r.u32();
       if (want != got) {
         out.corrupt_tail = true;

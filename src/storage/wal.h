@@ -16,8 +16,15 @@
 // safe without a commit marker.
 //
 // Compaction: `Wal::snapshot` rewrites the whole key as a single snapshot
-// record (via StableStore::replace), resetting log growth; the layer
-// journals call it every `compact_every` appends and on recovery.
+// record (via StableStore::replace), resetting log growth. The layer
+// journals snapshot when they attach (at start and after recovery), and
+// again whenever `Wal::snapshot_due` says so: once at least
+// kCompactMinRecords records have been appended since the last snapshot
+// AND those records hold at least as many bytes as that snapshot. This is
+// the doubling rule. A snapshot is only rewritten after as many new bytes
+// have been appended, so each byte of state is rewritten O(1) times
+// amortised, and a log never exceeds about twice its snapshot plus the
+// kCompactMinRecords-record floor, which bounds recovery replay.
 #pragma once
 
 #include <cstddef>
@@ -54,11 +61,28 @@ class Wal {
   /// Replaces the whole log with a single snapshot record (compaction).
   void snapshot(std::uint8_t type, const std::function<void(Writer&)>& encode);
 
-  /// Records appended since the last snapshot (or construction); the layer
-  /// journals compact when this crosses their threshold.
+  /// Fewest appends between two snapshots: below it, a small snapshot is
+  /// not rewritten on every few records.
+  static constexpr std::size_t kCompactMinRecords = 64;
+
+  /// True once the records appended since the last snapshot number at
+  /// least kCompactMinRecords and hold at least as many bytes as that
+  /// snapshot (the doubling rule in the header comment).
+  [[nodiscard]] bool snapshot_due() const {
+    return records_since_snapshot_ >= kCompactMinRecords &&
+           bytes_since_snapshot_ >= snapshot_bytes_;
+  }
+
+  /// Records appended since the last snapshot (or construction).
   [[nodiscard]] std::size_t records_since_snapshot() const {
     return records_since_snapshot_;
   }
+  /// Bytes appended since the last snapshot (or construction).
+  [[nodiscard]] std::size_t bytes_since_snapshot() const {
+    return bytes_since_snapshot_;
+  }
+  /// Size of the last snapshot record; 0 before the first.
+  [[nodiscard]] std::size_t snapshot_bytes() const { return snapshot_bytes_; }
 
   [[nodiscard]] const std::string& key() const { return key_; }
 
@@ -70,6 +94,8 @@ class Wal {
   StableStore& store_;
   std::string key_;
   std::size_t records_since_snapshot_ = 0;
+  std::size_t bytes_since_snapshot_ = 0;
+  std::size_t snapshot_bytes_ = 0;
 };
 
 struct WalRecord {
@@ -85,8 +111,9 @@ struct WalContents {
   bool corrupt_tail = false;       // true if trailing bytes failed to verify
 };
 
-/// Decodes a raw log. Never throws: corruption and truncation terminate the
-/// scan, returning the verified prefix.
+/// Decodes a raw log in one pass, in place: linear in the log's size.
+/// Never throws: corruption and truncation terminate the scan, returning
+/// the verified prefix.
 [[nodiscard]] WalContents read_wal(const Bytes& log);
 
 /// Loads and decodes the log at `key`; an absent key is an empty log.

@@ -15,19 +15,20 @@ constexpr std::uint8_t kToOrder = 3;      // order := order + label
 constexpr std::uint8_t kToEstablish = 4;  // order/nextconfirm/highprimary :=
 constexpr std::uint8_t kToConfirm = 5;    // nextconfirm := max(·, value)
 constexpr std::uint8_t kToReport = 6;     // nextreport := max(·, value)
-constexpr std::size_t kToCompactEvery = 64;
 
-void encode_snapshot(Writer& w, const toimpl::ToDurableState& s) {
-  w.varuint(s.content.size());
-  for (const auto& [l, a] : s.content) {
+// Encodes the durable variables straight from the automaton (no
+// ToDurableState copy of `content`); decode_snapshot reads them back.
+void encode_snapshot(Writer& w, const toimpl::DvsToTo& a) {
+  w.varuint(a.content().size());
+  for (const auto& [l, m] : a.content()) {
     w.label(l);
-    w.app_msg(a);
+    w.app_msg(m);
   }
-  w.varuint(s.order.size());
-  for (const Label& l : s.order) w.label(l);
-  w.varuint(s.nextconfirm);
-  w.varuint(s.nextreport);
-  w.view_id(s.highprimary);
+  w.varuint(a.order().size());
+  for (const Label& l : a.order()) w.label(l);
+  w.varuint(a.nextconfirm());
+  w.varuint(a.nextreport());
+  w.view_id(a.highprimary());
 }
 
 toimpl::ToDurableState decode_snapshot(Reader& r) {
@@ -78,8 +79,8 @@ dvsys::DvsCallbacks ToNode::dvs_callbacks() {
 }
 
 void ToNode::snapshot_state() {
-  const toimpl::ToDurableState s = automaton_.durable_state();
-  wal_->snapshot(kToSnapshot, [&](Writer& w) { encode_snapshot(w, s); });
+  wal_->snapshot(kToSnapshot,
+                 [this](Writer& w) { encode_snapshot(w, automaton_); });
 }
 
 void ToNode::attach_storage(storage::StableStore& store,
@@ -88,7 +89,7 @@ void ToNode::attach_storage(storage::StableStore& store,
   snapshot_state();
   toimpl::ToDurabilityHooks hooks;
   auto maybe_compact = [this] {
-    if (wal_->records_since_snapshot() >= kToCompactEvery) snapshot_state();
+    if (wal_->snapshot_due()) snapshot_state();
   };
   hooks.on_content = [this, maybe_compact](const Label& l, const AppMsg& a) {
     wal_->append(kToContent, [&](Writer& w) {
@@ -174,6 +175,36 @@ toimpl::ToDurableState ToNode::recover(const Bytes& journal) {
     }
   }
   return s;
+}
+
+std::uint64_t ToNode::recover_cursor(const Bytes& journal) {
+  std::uint64_t nextreport = toimpl::ToDurableState{}.nextreport;
+  for (const storage::WalRecord& rec : storage::read_wal(journal).records) {
+    try {
+      Reader r(rec.payload);
+      if (rec.type == kToSnapshot) {
+        // Step over content and order to the cursor (decode_snapshot's
+        // layout), then read highprimary too so a truncated snapshot ends
+        // the prefix exactly where recover() ends it.
+        for (std::size_t i = 0, n = r.count(2); i < n; ++i) {
+          (void)r.label();
+          (void)r.u64();
+          (void)r.process_id();
+          r.skip(r.varuint());
+        }
+        for (std::size_t i = 0, n = r.count(2); i < n; ++i) (void)r.label();
+        (void)r.varuint();
+        const std::uint64_t cursor = r.varuint();
+        (void)r.view_id();
+        nextreport = cursor;
+      } else if (rec.type == kToReport) {
+        nextreport = std::max(nextreport, r.varuint());
+      }
+    } catch (const DecodeError&) {
+      break;
+    }
+  }
+  return nextreport;
 }
 
 std::size_t ToNode::bind_metrics(obs::MetricsRegistry& metrics) {

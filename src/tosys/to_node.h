@@ -84,8 +84,15 @@ class ToNode {
   [[nodiscard]] static toimpl::ToDurableState recover(
       const storage::StableStore& store, const std::string& key);
   /// The same replay over a journal's raw bytes (a migrating slot's
-  /// snapshot carries them; shard::MigrationEngine reads its cursor here).
+  /// snapshot carries them).
   [[nodiscard]] static toimpl::ToDurableState recover(const Bytes& journal);
+  /// recover(journal).nextreport without the rest of the replay: only
+  /// snapshot and report records are decoded and no content map is built
+  /// (shard::MigrationEngine reads the donor's handoff cursor here). The
+  /// other record types are not decoded, so a CRC-clean record that fails
+  /// to decode, which no writer produces, ends recover()'s prefix but not
+  /// this scan.
+  [[nodiscard]] static std::uint64_t recover_cursor(const Bytes& journal);
 
  private:
   void drain();

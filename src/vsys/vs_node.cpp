@@ -100,7 +100,6 @@ namespace {
 // Epoch journal record type: a u64 epoch, max-merged on replay (so
 // duplicate records and snapshot/append interleavings are all idempotent).
 constexpr std::uint8_t kEpochRecord = 1;
-constexpr std::size_t kEpochCompactEvery = 32;
 }  // namespace
 
 void VsNode::bump_epoch(std::uint64_t epoch) {
@@ -112,7 +111,7 @@ void VsNode::bump_epoch(std::uint64_t epoch) {
     // boundaries, so log+act is atomic anyway, but the ordering keeps the
     // discipline explicit.
     wal_->append(kEpochRecord, [&](Writer& w) { w.u64(max_epoch_); });
-    if (wal_->records_since_snapshot() >= kEpochCompactEvery) {
+    if (wal_->snapshot_due()) {
       wal_->snapshot(kEpochRecord, [&](Writer& w) { w.u64(max_epoch_); });
     }
   }

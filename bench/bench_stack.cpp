@@ -75,21 +75,19 @@ void BM_ViewChange(benchmark::State& state) {
 }
 BENCHMARK(BM_ViewChange)->Arg(3)->Arg(5)->Arg(9);
 
-// Hot-path configuration axis for the BM_Stack* benches:
-//   0 = baseline   — eager per-tick retransmission (holdoff 1, the seed
-//                    behaviour) over the unbatched transport;
-//   1 = cursors    — per-destination retransmission cursors (default
-//                    holdoff) skip resends whose covering copy is still in
-//                    flight, unbatched transport;
+// Hot-path configuration axis for the BM_Stack* benches (numbered from 1 so
+// the benchmark names match earlier snapshots):
+//   1 = cursors    — per-destination retransmission cursors skip resends
+//                    whose covering copy is still in flight, unbatched
+//                    transport;
 //   2 = cursors+batch — cursors plus same-tick BATCH coalescing on the
 //                    wire (`--batch` / NetConfig::batching);
 //   3 = watermark+arena — cursors and batching plus SST-style watermark
 //                    stability (VsConfig::stability) and the allocation-free
 //                    data path (NetConfig::payload_arena + ring buffers).
-// Modes 0–2 pin explicit-ack stability and the heap payload path, so mode 0
-// stays an honest seed baseline and 2→3 isolates this round's work.
+// Modes 1–2 pin explicit-ack stability and the heap payload path, so 2→3
+// isolates the watermark and arena work.
 enum StackMode {
-  kEager = 0,
   kCursors = 1,
   kCursorsBatched = 2,
   kWatermarkArena = 3,
@@ -97,7 +95,6 @@ enum StackMode {
 
 const char* mode_label(int mode) {
   switch (mode) {
-    case kEager: return "eager retx, unbatched";
     case kCursors: return "retx cursors, unbatched";
     case kCursorsBatched: return "retx cursors + batching";
     default: return "watermarks + arena + batching";
@@ -112,7 +109,6 @@ ClusterConfig raw_stack(std::size_t n, int mode) {
   cfg.record_traces = false;
   cfg.conformance_oracle = false;
   cfg.observability = false;
-  if (mode == kEager) cfg.vs.retransmit_holdoff_ticks = 1;
   cfg.net.batching = mode == kCursorsBatched || mode == kWatermarkArena;
   cfg.vs.stability = mode == kWatermarkArena
                          ? vsys::StabilityMode::kWatermark
@@ -125,10 +121,8 @@ void BM_StackBurstThroughput(benchmark::State& state) {
   // Bursty app load over a WAN-ish link — every process broadcasts a
   // clutch of messages each heartbeat tick while the one-way delay spans
   // several ticks, so every message stays un-acked (a resend candidate)
-  // for its whole flight. The eager baseline re-sends the un-acked SEQ
-  // window (cap 8 per member) plus the DATA head to every member every
-  // tick; the cursors skip resends whose covering copy is still in
-  // flight, and batching coalesces each tick's clutch (DATA, SEQ,
+  // for its whole flight. The cursors skip resends whose covering copy is
+  // still in flight, and batching coalesces each tick's clutch (DATA, SEQ,
   // heartbeat to one destination) into a single datagram.
   const auto n = static_cast<std::size_t>(state.range(0));
   const int mode = static_cast<int>(state.range(1));
@@ -139,8 +133,8 @@ void BM_StackBurstThroughput(benchmark::State& state) {
   for (auto _ : state) {
     ClusterConfig cfg = raw_stack(n, mode);
     // ~3 ticks one-way: acks lag ~6 ticks, so in-flight copies stay resend
-    // candidates for several ticks in a row — the regime the eager baseline
-    // floods in.
+    // candidates for several ticks in a row — the regime the cursors are
+    // built for.
     cfg.net.base_delay = 55 * kMillisecond;
     Cluster c(cfg, seed++);
     c.start();
@@ -165,15 +159,12 @@ void BM_StackBurstThroughput(benchmark::State& state) {
                  std::to_string(delivered) + " delivered");
 }
 BENCHMARK(BM_StackBurstThroughput)
-    ->Args({3, kEager})
     ->Args({3, kCursors})
     ->Args({3, kCursorsBatched})
     ->Args({3, kWatermarkArena})
-    ->Args({5, kEager})
     ->Args({5, kCursors})
     ->Args({5, kCursorsBatched})
     ->Args({5, kWatermarkArena})
-    ->Args({9, kEager})
     ->Args({9, kCursors})
     ->Args({9, kCursorsBatched})
     ->Args({9, kWatermarkArena});

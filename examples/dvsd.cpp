@@ -53,21 +53,15 @@ int run_daemon(const char* config_path) {
   sigaction(SIGTERM, &sa, nullptr);
   sigaction(SIGINT, &sa, nullptr);
   daemon::Daemon d(config);
-  bool recovered = false;
   std::string groups;
-  if (config.shards > 0) {
-    for (const auto& col : d.columns()) {
-      recovered = recovered || col->runtime->recovered();
-      groups += (groups.empty() ? " groups g" : ",g") +
-                std::to_string(col->group);
-    }
-  } else {
-    recovered = d.runtime().recovered();
+  for (const auto& col : d.columns()) {
+    groups += (groups.empty() ? " groups g" : ",g") +
+              std::to_string(col->group);
   }
   std::fprintf(stderr, "dvsd %s: udp port %u, control port %u%s%s\n",
                config.node.to_string().c_str(),
                config.peers.at(config.node).port, d.control_port(),
-               groups.c_str(), recovered ? " (recovered from WAL)" : "");
+               groups.c_str(), d.recovered() ? " (recovered from WAL)" : "");
   return d.run(&g_stop);
 }
 

@@ -35,7 +35,14 @@ case "$BUILD_TYPE" in
          "numbers are not comparable to Release snapshots" >&2
     ;;
 esac
-BENCH_CONTEXT="--benchmark_context=build_type=${BUILD_TYPE}"
+# Tag every snapshot with the revision it measured (short SHA, "-dirty"
+# when the tree has uncommitted changes) and the core count, so snapshots
+# from different commits or machines are never compared unknowingly.
+GIT_SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [[ "$GIT_SHA" != unknown && -n "$(git status --porcelain 2>/dev/null)" ]]; then
+  GIT_SHA="${GIT_SHA}-dirty"
+fi
+BENCH_CONTEXT="--benchmark_context=build_type=${BUILD_TYPE},git_sha=${GIT_SHA},nproc=$(nproc)"
 
 cmake --build build --target bench_explorer bench_micro bench_stack model_checker >/dev/null
 
@@ -47,8 +54,8 @@ cmake --build build --target bench_explorer bench_micro bench_stack model_checke
   "${BENCH_CONTEXT}" \
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_format=json >BENCH_micro.json
-# Full-stack throughput with the hot-path mode axis (eager retx baseline /
-# retx cursors / cursors + wire batching) — the batching speedup and its
+# Full-stack throughput with the hot-path mode axis (retx cursors /
+# cursors + wire batching / + watermarks and arena) — the per-mode
 # delivered-message counts land in the snapshot for review. Wall-clock on a
 # busy machine is noisy at these run lengths; prefer comparing the
 # "delivered" labels (deterministic) and treat time ratios as indicative.

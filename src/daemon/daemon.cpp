@@ -288,6 +288,14 @@ const std::vector<shard::ShardAssignment>& Daemon::assignments() const {
   return engine_ ? engine_->assignments() : kUnsharded;
 }
 
+bool Daemon::recovered() const {
+  if (runtime_ != nullptr && runtime_->recovered()) return true;
+  return std::any_of(columns_.begin(), columns_.end(),
+                     [](const std::unique_ptr<Column>& c) {
+                       return c->runtime->recovered();
+                     });
+}
+
 Daemon::Column* Daemon::column_for(std::uint32_t group) {
   for (const std::unique_ptr<Column>& c : columns_) {
     if (c->group == group) return c.get();
@@ -371,13 +379,9 @@ std::string Daemon::execute(const std::string& command) {
   std::string op;
   is >> op;
   if (op == "ping") {
-    bool recovered = runtime_ != nullptr && runtime_->recovered();
-    for (const std::unique_ptr<Column>& c : columns_) {
-      recovered = recovered || c->runtime->recovered();
-    }
     return "pong " + config_.node.to_string() +
            " pid=" + std::to_string(::getpid()) +
-           " recovered=" + (recovered ? "1" : "0");
+           " recovered=" + (recovered() ? "1" : "0");
   }
   // In a sharded deployment every keyed op routes through the ShardRouter;
   // a node that does not host the key's shard answers with a redirect the

@@ -13,19 +13,27 @@
 // A UDP control socket accepts one-datagram text commands (cluster.sh and
 // the system tests drive workloads through it):
 //
-//   ping                 -> "pong <self> pid=<pid>"
-//   put <key> <value...> -> broadcasts "put k v", replies "ok uid=<uid>"
+//   ping                 -> "pong <self> pid=<pid> recovered=<0|1>"
+//   put <key> <value>    -> broadcasts "put k v", replies "ok uid=<uid>"
 //   del <key>            -> broadcasts "del k",   replies "ok uid=<uid>"
 //   get <key>            -> the local replica's value, or "(nil)"
 //   dump                 -> KvStateMachine::snapshot()
 //   digest               -> "digest=<hex> applied=<n>"
-//   view                 -> "view=<id> members=<k> primary=<0|1>" | "no-view"
+//   applied              -> commands applied to the local replica
+//   view                 -> "view=<id,{members}> primary=<0|1>" | "no-view"
 //   stats                -> metrics snapshot (Prometheus-style text)
 //   drop <probability>   -> sets the UDP send-drop knob, replies "ok"
 //   fds                  -> open file descriptor count (fd-leak checks)
 //   shardmap             -> current assignments: "g<k> <pool ids...>" per
-//                           shard plus "migrations=<n>" (dynamic mode)
+//                           shard plus "migrations=<n>"; unsharded daemons
+//                           answer "err unsharded deployment"
 //   quit                 -> replies "ok", exits the loop gracefully
+//
+// A sharded daemon (shards > 0) routes put/del/get by key. When it hosts
+// the key's shard k, put/del replies add " shard=<k>"; when it does not,
+// all three answer "moved shard=<k> node=<id>" naming a host to retry at.
+// dump, digest and view answer one "g<k> ..." line (dump: a "g<k>" header
+// line) per hosted column, and applied sums over the columns.
 //
 // Shutdown: `quit`, SIGTERM or SIGINT end the loop after the current
 // iteration; traces and WALs are already on the kernel side at every
@@ -68,9 +76,9 @@ class Daemon : private shard::MigrationPort {
   /// (signal handlers set it). Returns the process exit code.
   int run(const volatile std::sig_atomic_t* stop = nullptr);
 
-  /// The unsharded deployment's single column (throws when shards > 0 —
-  /// use column()/columns() then).
-  [[nodiscard]] NodeRuntime& runtime() { return *runtime_; }
+  /// True when any column this daemon hosts was rebuilt from WAL journals
+  /// left by a previous incarnation (see NodeRuntime::recovered).
+  [[nodiscard]] bool recovered() const;
   [[nodiscard]] net::UdpTransport& transport() { return *transport_; }
   /// The control socket's bound port (the config may say port 0 in tests).
   [[nodiscard]] std::uint16_t control_port() const { return control_port_; }

@@ -27,9 +27,12 @@ NodeRuntime::NodeRuntime(ProcessId self, std::size_t n,
   stack_ = std::make_unique<tosys::ProcessStack>(
       self_, v0_, net, sim, options_, store, recovered_, observer,
       observed ? tosys::StackEvents::kAll : tosys::StackEvents::kNone);
-  // deliveries_/hooks see only live deliveries — replay is application
-  // state reconstruction, not a re-observation of the protocol.
-  if (recovered_ && options_.replay_kv) {
+  // On recovery, rebuild the KV state machine by replaying the recovered TO
+  // order prefix up to nextreport: the restored delivery cursor suppresses
+  // re-delivery of everything already reported. deliveries_/hooks see only
+  // live deliveries — replay is application state reconstruction, not a
+  // re-observation of the protocol.
+  if (recovered_) {
     kv_ = apps::replay_kv(stack_->to().automaton());
   }
 }

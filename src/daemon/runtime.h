@@ -35,11 +35,6 @@ struct RuntimeOptions : tosys::StackOptions {
   /// Keep every spec event in memory (events()); in-process tests audit
   /// these directly. dvsd turns it off — its events go to the TraceSink.
   bool record_in_memory = false;
-  /// On crash-restart recovery, rebuild the KV state machine by replaying
-  /// the recovered TO order prefix up to nextreport. Without it a restarted
-  /// node's application state stays empty forever: the restored delivery
-  /// cursor suppresses re-delivery of everything already reported.
-  bool replay_kv = true;
 };
 
 /// One BRCV delivery applied to the local state machine.

@@ -190,18 +190,13 @@ void SimNetwork::enqueue_batch(Channel& ch, ProcessId from, ProcessId to,
   }
   if (batch.flush_scheduled) return;
   batch.flush_scheduled = true;
-  Channel* chp = &ch;
-  if (config_.batch_window == 0) {
-    // End-of-instant coalescing: one sweep event flushes every dirty link,
-    // in the order their first message arrived (deterministic).
-    ch.dirty.emplace_back(from, to);
-    if (!ch.sweep_scheduled) {
-      ch.sweep_scheduled = true;
-      sim_.schedule_at(sim_.now(), [this, chp] { flush_all_batches(*chp); });
-    }
-  } else {
-    sim_.schedule_at(sim_.now() + config_.batch_window,
-                     [this, chp, from, to] { flush_batch(*chp, from, to); });
+  // End-of-instant coalescing: one sweep event flushes every dirty link, in
+  // the order their first message arrived (deterministic).
+  ch.dirty.emplace_back(from, to);
+  if (!ch.sweep_scheduled) {
+    ch.sweep_scheduled = true;
+    Channel* chp = &ch;
+    sim_.schedule_at(sim_.now(), [this, chp] { flush_all_batches(*chp); });
   }
 }
 
@@ -220,8 +215,8 @@ void SimNetwork::flush_batch(Channel& ch, ProcessId from, ProcessId to) {
   if (it == ch.pending.end()) return;
   PendingBatch& batch = it->second;
   batch.flush_scheduled = false;
-  // A cap flush may already have emptied this batch; the sweep (or a
-  // window event) then finds nothing to do.
+  // A cap flush may already have emptied this batch; the sweep then finds
+  // nothing to do.
   const std::size_t n = batch.frame_count();
   if (n == 0) return;
   if (batch_fill_ != nullptr) batch_fill_->observe(n);

@@ -87,15 +87,13 @@ struct NetConfig {
 
   // ----- batching ------------------------------------------------------------
   /// Coalesce every message a process sends to the same destination within
-  /// one flush window into a single framed BATCH envelope (net/batcher.h),
-  /// so delay/jitter/FIFO machinery runs once per envelope instead of once
-  /// per logical message. Decoded transparently on delivery: handlers see
-  /// the same per-message callbacks either way.
+  /// one simulated instant into a single framed BATCH envelope
+  /// (net/batcher.h), so delay/jitter/FIFO machinery runs once per envelope
+  /// instead of once per logical message. Batches flush at the end of the
+  /// instant, adding no latency beyond the event queue. Decoded
+  /// transparently on delivery: handlers see the same per-message callbacks
+  /// either way.
   bool batching = false;
-  /// How long a batch stays open after its first message. 0 flushes at the
-  /// end of the current simulated instant — same-tick coalescing only,
-  /// adding no latency beyond the event queue.
-  sim::Time batch_window = 0;
   /// A batch reaching either cap is flushed immediately.
   std::size_t batch_max_msgs = 16;
   std::size_t batch_max_bytes = 8192;
@@ -213,10 +211,10 @@ class SimNetwork : public Transport {
   void bind_metrics(obs::MetricsRegistry& metrics);
 
  private:
-  // Open batches per (from, to) link; flushed by a scheduled event at the
-  // end of the window or synchronously when a cap is hit. Keyed by the
-  // packed link id (hot path: one hash lookup per logical send); flushed
-  // in-place so the frames vector keeps its capacity across ticks.
+  // Open batches per (from, to) link; flushed by the end-of-instant sweep
+  // or synchronously when a cap is hit. Keyed by the packed link id (hot
+  // path: one hash lookup per logical send); flushed in-place so the frames
+  // vector keeps its capacity across ticks.
   struct PendingBatch {
     // Exactly one of the two frame stores is used, per config_.payload_arena:
     // arena handles (recycled slots, no per-frame allocation) or owned
@@ -243,9 +241,9 @@ class SimNetwork : public Transport {
     // FIFO link enforcement: earliest permissible delivery time per link.
     std::map<std::pair<ProcessId, ProcessId>, sim::Time> link_clock;
     std::unordered_map<std::uint64_t, PendingBatch> pending;
-    // With batch_window == 0 every dirty link is flushed by one
-    // end-of-instant sweep event (in first-message order, so runs stay
-    // deterministic) instead of one scheduled event per link per instant.
+    // Every dirty link is flushed by one end-of-instant sweep event (in
+    // first-message order, so runs stay deterministic) instead of one
+    // scheduled event per link per instant.
     std::vector<std::pair<ProcessId, ProcessId>> dirty;
     bool sweep_scheduled = false;
     // Reused buffer for handing envelope frames to handlers without a fresh

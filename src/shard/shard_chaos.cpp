@@ -22,7 +22,6 @@ tosys::ClusterConfig make_base(const tosys::ChaosConfig& c) {
   cc.net.reorder_window = c.reorder_window;
   cc.net.truncate_probability = c.truncate_probability;
   cc.net.batching = c.batching;
-  cc.net.payload_arena = c.payload_arena;
   cc.vs.stability = c.watermarks ? vsys::StabilityMode::kWatermark
                                  : vsys::StabilityMode::kExplicitAck;
   cc.record_traces = true;

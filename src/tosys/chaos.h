@@ -61,11 +61,6 @@ struct ChaosConfig {
   /// protocol. On by default — watermarks are the production path;
   /// test_watermark_equivalence proves both conform and deliver identically.
   bool watermarks = true;
-  /// Carry in-flight payloads in the network's recycled arena slots
-  /// (NetConfig.payload_arena). Behaviour-invariant by construction (same
-  /// bytes, same RNG draw order); the knob exists so the differential suite
-  /// can pin both axes.
-  bool payload_arena = true;
   /// Client broadcasts injected at seeded times across the horizon.
   std::size_t broadcasts = 60;
   /// Run time after the final heal/resume, letting recovery complete

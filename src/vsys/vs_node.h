@@ -75,17 +75,6 @@
 
 namespace dvs::vsys {
 
-/// Within-view total-order strategy.
-enum class OrderingMode {
-  /// The smallest member sequences everyone's messages (Isis/Amoeba style):
-  /// two hops to order, sequencer is a hot spot.
-  kSequencer,
-  /// A token rotates around the members; the holder assigns positions to
-  /// its own backlog (Totem style): no hot spot, but idle latency is bound
-  /// to the token circulation time.
-  kTokenRing,
-};
-
 /// Within-view stability (safe-indication) strategy. Reconfiguration is
 /// explicit-ack in both modes; this only selects how delivery watermarks
 /// propagate inside an installed view.
@@ -107,17 +96,7 @@ struct VsConfig {
   sim::Time heartbeat_period = 20 * sim::kMillisecond;
   sim::Time suspect_timeout = 100 * sim::kMillisecond;
   sim::Time propose_timeout = 250 * sim::kMillisecond;
-  sim::Time propose_cooldown = 50 * sim::kMillisecond;
-  OrderingMode ordering = OrderingMode::kSequencer;
   StabilityMode stability = StabilityMode::kWatermark;
-  /// Token mode: max messages a holder issues per rotation (fairness cap).
-  std::size_t token_backlog_cap = 16;
-  /// Tick retransmission holdoff: once a copy covering a peer's missing
-  /// suffix is in flight, wait this many ticks without ack progress before
-  /// resending to that peer. 1 restores the old resend-every-tick behavior;
-  /// higher values cut redundant retransmissions while acks propagate (one
-  /// heartbeat round-trip ≈ 2 ticks) at the cost of slower loss recovery.
-  std::size_t retransmit_holdoff_ticks = 2;
 };
 
 struct VsCallbacks {
@@ -142,7 +121,7 @@ struct VsNodeStats {
   /// Datagrams dropped because they failed to decode (truncated or
   /// corrupted in flight — the network's payload-truncation fault).
   std::uint64_t decode_errors = 0;
-  /// Redelivered SEQs/tokens discarded by the duplicate-suppression path.
+  /// Redelivered SEQs/DATA discarded by the duplicate-suppression path.
   std::uint64_t duplicates_suppressed = 0;
   /// Tick retransmissions actually sent (DATA head + SEQ window copies) and
   /// ones skipped because a covering copy was still in flight within the
@@ -223,7 +202,6 @@ class VsNode {
   void handle(const Install& in, ProcessId from);
   void handle(const Data& da, ProcessId from);
   void handle(const Seq& sq, ProcessId from);
-  void handle(const Token& tk, ProcessId from);
   void handle(const Watermark& wm, ProcessId from);
 
   void maybe_propose();
@@ -234,12 +212,9 @@ class VsNode {
   /// `from` for `view` (kWatermark mode; no-op otherwise or across views).
   void apply_watermarks(ProcessId from, const ViewId& view,
                         std::uint64_t delivered, std::uint64_t safe);
-  /// Token mode: issue up to the backlog cap and forward the token.
-  void service_token();
-  [[nodiscard]] ProcessId ring_successor() const;
   void issue(const Msg& payload, ProcessId origin, std::uint64_t seqno);
   /// The single duplicate-suppression predicate for redeliverable wire
-  /// items (SEQs and tokens): item number `n` is a duplicate when it is at
+  /// items (SEQs and DATA): item number `n` is a duplicate when it is at
   /// or below the already-processed watermark, or when it is already
   /// buffered awaiting contiguous delivery (`buffered`). Both redelivery
   /// paths route through here so duplicate injection exercises one tested
@@ -265,6 +240,16 @@ class VsNode {
   /// buffer per message.
   const Bytes& encode_reused(const WireMsg& m);
   void bump_epoch(std::uint64_t epoch);
+
+  /// Tick retransmission holdoff: once a copy covering a peer's missing
+  /// suffix is in flight, wait this many ticks without ack progress before
+  /// resending to that peer — one heartbeat round-trip, the time an ack
+  /// needs to come back. Cuts redundant retransmissions while acks
+  /// propagate, at the cost of one extra tick of loss recovery.
+  static constexpr std::size_t kRetransmitHoldoffTicks = 2;
+  /// After a proposal aborts or installs, the coordinator waits this long
+  /// before proposing again.
+  static constexpr sim::Time kProposeCooldown = 50 * sim::kMillisecond;
 
   ProcessId self_;
   net::Transport& net_;
@@ -316,17 +301,10 @@ class VsNode {
   std::uint64_t own_acked_ = 0;  // my messages the sequencer admitted
   std::vector<std::uint64_t> expected_data_seq_;  // sequencer role
   std::uint64_t next_seqno_out_ = 1;              // sequencer role
-  // SEQs this node issued in the current view (sequencer: all of them;
-  // token mode: the ones issued while holding the token), keyed by seqno,
-  // for per-issuer retransmission to lagging members. The prefix below the
+  // SEQs this node issued as the current view's sequencer, keyed by
+  // seqno, for retransmission to lagging members. The prefix below the
   // watermark table's delivered minimum is GC'd.
   SeqWindow<Seq> issued_;
-  // Token-ring state (reset on install).
-  RingBuffer<Msg> token_backlog_;          // my unsent client payloads
-  std::optional<Token> held_token_;        // the token, while holding it
-  std::optional<Token> forwarded_token_;   // awaiting evidence of arrival
-  std::uint64_t last_rotation_seen_ = 0;   // highest rotation observed
-  std::uint64_t last_rotation_processed_ = 0;
   SeqWindow<std::pair<ProcessId, Msg>> recv_buffer_;
   // Delivered messages in order (absolute index n = seqno n+1); the prefix
   // below safe_emitted_ is GC'd as safes are emitted.
@@ -342,7 +320,7 @@ class VsNode {
   std::vector<std::size_t> member_rows_;
   // Per-destination retransmission cursors (reset on install): tick
   // retransmission resends only the suffix past the peer's acked position,
-  // and only after retransmit_holdoff_ticks without progress while a
+  // and only after kRetransmitHoldoffTicks without progress while a
   // covering copy is in flight. Liveness is preserved: an outstanding
   // suffix is always resent once the holdoff expires, no matter how many
   // copies were lost before — in kWatermark mode a peer whose published

@@ -7,8 +7,11 @@
 //   INSTALL    — coordinator finalizes the view
 //   DATA       — member sends a client payload to the view's sequencer
 //   SEQ        — sequencer broadcasts the payload with its order number
-//   TOKEN      — token-ring mode's rotating ordering permission
 //   WATERMARK  — a member's delivered/safe counters, pushed on change
+//
+// Tag 7 is reserved: older daemons may still send it (a removed token-ring
+// ordering mode's TOKEN), so it is never reused; it fails to decode like
+// any unknown tag.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +32,9 @@ struct Heartbeat {
   /// (absent when the sender has no view). Drives safe indications.
   std::optional<ViewId> view;
   std::uint64_t delivered = 0;
-  /// Token-ring mode only: the highest token rotation the sender has
-  /// observed in its current view (0 in sequencer mode). Lets the previous
-  /// holder stop retransmitting the token.
-  std::uint64_t token_rotation = 0;
+  // The encoding then carries an 8-byte reserved slot, written as 0 and
+  // ignored on decode, so heartbeats stay byte-identical to, and
+  // interoperate with, those of older daemons.
   /// The sender's safe watermark in its current view (the prefix it has
   /// emitted safe indications for). Feeds the per-member watermark table's
   /// safe column; purely observational for the protocol itself.
@@ -92,17 +94,6 @@ struct Seq {
   friend bool operator==(const Seq&, const Seq&) = default;
 };
 
-/// Token-ring ordering mode: the rotating permission to assign order
-/// positions. Exactly one logical token exists per view; `rotation`
-/// increments at every hop so retransmitted duplicates are discarded.
-struct Token {
-  ViewId view;
-  std::uint64_t rotation = 0;
-  std::uint64_t next_seqno = 1;  // next order position to assign
-
-  friend bool operator==(const Token&, const Token&) = default;
-};
-
 /// Stability mode kWatermark: a member's delivered and safe counters in
 /// `view`, pushed to the other members whenever its delivered count rises —
 /// a subset of what a Heartbeat carries, so stability no longer waits for
@@ -116,7 +107,7 @@ struct Watermark {
 };
 
 using WireMsg = std::variant<Heartbeat, Propose, FlushAck, Install, Data, Seq,
-                             Token, Watermark>;
+                             Watermark>;
 
 [[nodiscard]] Bytes encode(const WireMsg& m);
 /// Appends the encoding to `w` without allocating a fresh buffer — the

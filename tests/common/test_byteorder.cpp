@@ -1,8 +1,8 @@
 // Byte-order regression suite: golden wire bytes.
 //
 // Everything the stack persists or transmits — Writer integers, WAL
-// records (including their CRC), BATCH envelopes, the vsys WATERMARK frame,
-// the 128-bit state hash —
+// records (including their CRC), BATCH envelopes, the vsys HEARTBEAT and
+// WATERMARK frames, the 128-bit state hash —
 // must produce IDENTICAL bytes on every host, because real deployments mix
 // machines (a trace written on one box is audited on another, a WAL may be
 // inspected cross-host) and the exhaustive checker's state hashes are
@@ -121,6 +121,32 @@ TEST(ByteOrder, WatermarkFrameGoldenBytes) {
                                    0x00,                                     //
                                    0x01, 0x00, 0x00, 0x00,                   //
                                    0xac, 0x02,                               //
+                                   0x05});
+  EXPECT_EQ(vsys::encode(m), expected);
+  EXPECT_EQ(vsys::decode(expected), m);
+}
+
+TEST(ByteOrder, HeartbeatFrameGoldenBytes) {
+  vsys::Heartbeat hb;
+  hb.max_epoch = 7;
+  hb.view = ViewId{3, ProcessId{1}};
+  hb.delivered = 300;
+  hb.safe = 5;
+  const vsys::WireMsg m = hb;
+  // tag 1 | max_epoch u64 LE | has-view u8 | view epoch u64 LE | view
+  // origin u32 LE | delivered u64 LE | reserved u64 (always 0) | varuint
+  // safe
+  const Bytes expected = bytes_of({0x01,                                     //
+                                   0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                                   0x00,                                     //
+                                   0x01,                                     //
+                                   0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                                   0x00,                                     //
+                                   0x01, 0x00, 0x00, 0x00,                   //
+                                   0x2c, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+                                   0x00,                                     //
+                                   0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                                   0x00,                                     //
                                    0x05});
   EXPECT_EQ(vsys::encode(m), expected);
   EXPECT_EQ(vsys::decode(expected), m);

@@ -71,19 +71,46 @@ TEST(WireTest, HeartbeatCarriesSafeWatermark) {
   EXPECT_NE(WireMsg{zero}, m);
 }
 
-TEST(WireTest, TokenRoundTrip) {
-  const Token tk{ViewId{4, ProcessId{2}}, 17, 42};
-  EXPECT_EQ(decode(encode(WireMsg{tk})), WireMsg{tk});
-}
-
-TEST(WireTest, HeartbeatCarriesTokenRotation) {
+TEST(WireTest, HeartbeatReservedSlotIsWrittenZeroAndIgnored) {
+  // tag u8 | max_epoch u64 | has_view u8 | [view id: epoch u64, origin u32]
+  // | delivered u64 | reserved u64 | varuint safe. The reserved slot once
+  // carried a token-ring rotation; peers running older builds may still
+  // put any value there.
   Heartbeat hb;
   hb.max_epoch = 3;
   hb.view = ViewId{3, ProcessId{0}};
   hb.delivered = 5;
-  hb.token_rotation = 99;
-  const WireMsg m{hb};
-  EXPECT_EQ(decode(encode(m)), m);
+  hb.safe = 4;
+  Heartbeat no_view;
+  no_view.max_epoch = 2;
+  for (const auto& [m, slot] :
+       {std::pair{WireMsg{hb}, std::size_t{1 + 8 + 1 + 12 + 8}},
+        std::pair{WireMsg{no_view}, std::size_t{1 + 8 + 1 + 8}}}) {
+    const Bytes wire = encode(m);
+    ASSERT_EQ(wire.size(), slot + 8 + 1) << to_string(m);
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(wire[slot + i], std::byte{0}) << to_string(m) << " byte " << i;
+    }
+    for (const std::uint64_t value : {1ull, 99ull, ~0ull}) {
+      Bytes patched = wire;
+      for (std::size_t i = 0; i < 8; ++i) {
+        patched[slot + i] = static_cast<std::byte>((value >> (8 * i)) & 0xFF);
+      }
+      EXPECT_EQ(decode(patched), m) << to_string(m) << " slot=" << value;
+    }
+  }
+}
+
+TEST(WireTest, RetiredTag7IsRejected) {
+  // Tag 7 carried a token-ring TOKEN{view id, rotation u64, next u64}; it
+  // is now an unknown tag, whatever follows it.
+  Writer w;
+  w.u8(7);
+  w.view_id(ViewId{4, ProcessId{2}});
+  w.u64(17);
+  w.u64(42);
+  EXPECT_THROW((void)decode(w.take()), DecodeError);
+  EXPECT_THROW((void)decode(Bytes{std::byte{7}}), DecodeError);
 }
 
 TEST(WireTest, WatermarkRoundTripAndRejectsTrailingBytes) {
@@ -111,8 +138,6 @@ TEST(WireTest, ToStringCoversAllVariants) {
   EXPECT_NE(to_string(WireMsg{Seq{v.id(), 1, ProcessId{0},
                                   Msg{RegisteredMsg{}}}})
                 .find("seq"),
-            std::string::npos);
-  EXPECT_NE(to_string(WireMsg{Token{v.id(), 2, 3}}).find("token"),
             std::string::npos);
   EXPECT_NE(to_string(WireMsg{Watermark{v.id(), 4, 2}}).find("watermark"),
             std::string::npos);

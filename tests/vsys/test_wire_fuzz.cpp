@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "vs_harness.h"
 #include "vsys/wire.h"
 
 namespace dvs::vsys {
@@ -39,7 +40,6 @@ std::vector<WireMsg> samples() {
   hb.max_epoch = 7;
   hb.view = ViewId{3, ProcessId{1}};
   hb.delivered = 9;
-  hb.token_rotation = 4;
   out.push_back(hb);
   out.push_back(Propose{sample_view()});
   out.push_back(FlushAck{ViewId{3, ProcessId{1}}});
@@ -57,7 +57,6 @@ std::vector<WireMsg> samples() {
   delta.base_view = ViewId{3, ProcessId{1}};
   delta.keep_len = 12;
   out.push_back(Seq{ViewId{4, ProcessId{1}}, 10, ProcessId{0}, Msg{delta}});
-  out.push_back(Token{ViewId{3, ProcessId{1}}, 11, 12});
   // Multi-byte varuints, so truncation can land mid-counter.
   out.push_back(Watermark{ViewId{3, ProcessId{1}}, 300, 200});
   return out;
@@ -145,9 +144,9 @@ TEST(WireFuzzTest, RandomGarbageNeverEscapesDecodeError) {
 }
 
 TEST(WireFuzzTest, RandomGarbageAfterEveryTagNeverEscapesDecodeError) {
-  // Garbage bodies behind each valid tag byte (1..8, WATERMARK included),
-  // so every per-tag parser sees junk — a uniformly random first byte
-  // rarely selects a tag at all.
+  // Garbage bodies behind each tag byte 1..8 (WATERMARK included, and the
+  // retired tag 7, which must reject), so every per-tag parser sees junk —
+  // a uniformly random first byte rarely selects a tag at all.
   Rng rng(2025);
   for (std::uint8_t tag = 1; tag <= 8; ++tag) {
     for (int i = 0; i < 500; ++i) {
@@ -179,6 +178,54 @@ TEST(WireFuzzTest, CorruptedLengthPrefixIsRejectedBeforeAllocation) {
     evil[byte] = std::byte{0xff};
     expect_clean_decode(evil);
   }
+}
+
+TEST(WireFuzzTest, RetiredTag7OnlyRaisesDecodeErrorsAtALiveNode) {
+  // A well-formed datagram under the retired tag 7 (a token-ring TOKEN for
+  // the current view) reaches every member of a settled view: each counts
+  // one decode error and nothing else about it changes.
+  VsHarness h(3, 3, 16);
+  h.start();
+  h.run_for(100 * sim::kMillisecond);
+  for (unsigned p = 0; p < 3; ++p) h.node(p).gpsnd(opaque(p + 1, p));
+  h.run_for(1 * sim::kSecond);
+  const ViewId vid = h.node(0).view()->id();
+  struct Seen {
+    std::optional<View> view;
+    std::size_t delivered;
+    std::size_t safe;
+    std::uint64_t decode_errors;
+  };
+  const auto seen = [&](unsigned p) {
+    const ProcessId q{p};
+    return Seen{h.node(p).view(), h.delivered_[q].size(), h.safes_[q].size(),
+                h.node(p).stats().decode_errors};
+  };
+  std::vector<Seen> before;
+  for (unsigned p = 0; p < 3; ++p) before.push_back(seen(p));
+  ASSERT_EQ(before[0].delivered, 3u);
+  ASSERT_EQ(before[0].safe, 3u);
+
+  Writer w;
+  w.u8(7);
+  w.view_id(vid);
+  w.u64(2);  // rotation
+  w.u64(4);  // next order position
+  const Bytes token = w.take();
+  for (unsigned p = 0; p < 3; ++p) {
+    h.net().send(ProcessId{(p + 1) % 3}, ProcessId{p}, token);
+  }
+  h.run_for(500 * sim::kMillisecond);
+
+  for (unsigned p = 0; p < 3; ++p) {
+    const Seen after = seen(p);
+    EXPECT_EQ(after.decode_errors, before[p].decode_errors + 1) << "p" << p;
+    EXPECT_EQ(after.view, before[p].view) << "p" << p;
+    EXPECT_EQ(after.delivered, before[p].delivered) << "p" << p;
+    EXPECT_EQ(after.safe, before[p].safe) << "p" << p;
+  }
+  const auto r = h.check_trace();
+  EXPECT_TRUE(r.ok) << r.error;
 }
 
 }  // namespace
